@@ -34,7 +34,7 @@ from .config import (
     load_config,
     source_channels,
 )
-from .correlation import estimate_f, find_theta_max, shift_table
+from .correlation import estimate_f, shift_table
 from .detection import simulate_scan, scan_to_csv
 from .qkd import report_to_dict, reports_to_csv, run_bbm92, wdm_aggregate
 from .scanfit import fit_result_to_dict, fit_scan, scan_metrics
@@ -116,13 +116,12 @@ def cmd_theory_scan(
         _write_text(out / f"theory_scan_thetas_{_angle_label(ts)}.csv", "\n".join(lines) + "\n")
     rows = []
     for entry in shift_table(state, thetas, reference=0.0):
-        res = find_theta_max(state, entry.theta_s)
         rows.append(
             {
                 "theta_s_deg": entry.theta_s,
                 "theta_max_deg": entry.theta_max,
                 "shift_deg": entry.shift,
-                "visibility": res.visibility,
+                "visibility": entry.visibility,
                 "degenerate": entry.degenerate,
             }
         )
@@ -181,25 +180,32 @@ def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
-    """Write the per-channel wavelength/rate table with both ratio readings."""
+    """Write the per-channel wavelength/rate table with both ratio readings.
+
+    A dark channel (both rates zero) has no ratio; its readings are NaN.
+    """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     lines = ["lambda_signal_nm,lambda_idler_nm,rate_hv,rate_vh,f_hat,f_hat_inv"]
     rows = []
     for channel in source_channels(cfg.source):
-        est = estimate_f(channel.rate_HV, channel.rate_VH)
+        try:
+            est = estimate_f(channel.rate_HV, channel.rate_VH)
+            f_hat, f_hat_inv = est.f_hat, est.f_hat_inverse
+        except ValueError:  # dark channel
+            f_hat = f_hat_inv = math.nan
         rows.append(
             {
                 "lambda_signal_nm": channel.lambda_signal,
                 "lambda_idler_nm": channel.lambda_idler,
                 "rate_hv": channel.rate_HV,
                 "rate_vh": channel.rate_VH,
-                "f_hat": est.f_hat,
-                "f_hat_inv": est.f_hat_inverse,
+                "f_hat": f_hat,
+                "f_hat_inv": f_hat_inv,
             }
         )
         lines.append(
             f"{channel.lambda_signal!r},{channel.lambda_idler!r},{channel.rate_HV!r},"
-            f"{channel.rate_VH!r},{est.f_hat!r},{est.f_hat_inverse!r}"
+            f"{channel.rate_VH!r},{f_hat!r},{f_hat_inv!r}"
         )
     _write_text(out / "spectrum.csv", "\n".join(lines) + "\n")
     return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .detection import DetectionConfig
-from .qkd import ProtocolConfig
+from .qkd import MAX_PAIRS, ProtocolConfig
 from .spectral import (
     DEFAULT_CHANNEL_COUNT,
     DEFAULT_CHANNEL_RANGE_NM,
@@ -217,9 +217,14 @@ def _parse_detection(section: dict, seed: int, path: str = "detection.") -> Dete
 def _parse_qkd(section: dict, seed: int, path: str = "qkd.") -> ProtocolConfig:
     allowed = ("n_pairs", "flip_rectilinear", "flip_diagonal")
     _reject_unknown(section, allowed, path)
+    n_pairs = _get(section, "n_pairs", 100_000, int, path)
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ConfigError(
+            f"section 'qkd': key '{path}n_pairs' must be in [1, 2**63 - 1], got {n_pairs}"
+        )
     try:
         return ProtocolConfig(
-            n_pairs=_get(section, "n_pairs", 100_000, int, path),
+            n_pairs=n_pairs,
             flip_rectilinear=_get(section, "flip_rectilinear", True, bool, path),
             flip_diagonal=_get(section, "flip_diagonal", False, bool, path),
             seed=seed,

@@ -6,8 +6,7 @@ of the idler angle is a raised sinusoid
     p(theta_i) = mean + amp_cos * cos(2 theta_i) + amp_sin * sin(2 theta_i),
 
 so peak position and visibility follow in closed form from the three
-coefficients.  Every closed-form maximizer is cross-checked internally
-against a dense grid scan of the same curve.
+coefficients.
 """
 
 from __future__ import annotations
@@ -49,11 +48,6 @@ DEGENERACY_RTOL = 1e-12
 # rounding dust (e.g. the product state with the signal polarizer crossed).
 DEGENERACY_ATOL = 1e-24
 
-_GRID_STEP_DEG = 0.01
-_GRID_DEG = np.arange(0.0, 180.0, _GRID_STEP_DEG)
-_GRID_COS2 = np.cos(2.0 * np.deg2rad(_GRID_DEG))
-_GRID_SIN2 = np.sin(2.0 * np.deg2rad(_GRID_DEG))
-
 
 @dataclass(frozen=True)
 class ThetaMaxResult:
@@ -81,12 +75,13 @@ class ThetaMaxResult:
 
 @dataclass(frozen=True)
 class ShiftEntry:
-    """One row of a peak-shift table."""
+    """One row of a peak-shift table; visibility is that of the row's scan."""
 
     theta_s: float
     theta_max: float
     shift: float
     degenerate: bool
+    visibility: float
 
 
 @dataclass(frozen=True)
@@ -147,24 +142,13 @@ def scan_coefficients(
     return (mean, amp_cos, amp_sin)
 
 
-def _grid_check(mean: float, amp_cos: float, amp_sin: float, theta_deg: float) -> None:
-    """Verify a closed-form maximizer against a dense grid scan of the curve."""
-    curve = mean + amp_cos * _GRID_COS2 + amp_sin * _GRID_SIN2
-    grid_peak = _GRID_DEG[int(np.argmax(curve))]
-    if abs(signed_angle_difference(theta_deg, grid_peak)) > 2.0 * _GRID_STEP_DEG:
-        raise RuntimeError(
-            f"closed-form peak {theta_deg:.6f} deg disagrees with grid scan {grid_peak:.6f} deg"
-        )
-
-
 def find_theta_max(
     state: BiphotonPureState | ProductState, theta_s: float
 ) -> ThetaMaxResult:
     """Locate the idler angle maximizing the coincidence probability.
 
     The peak follows from the scan's sinusoid coefficients as
-    0.5 * atan2(amp_sin, amp_cos); the result is verified against a dense
-    grid scan before it is returned.  A constant (or identically zero) scan
+    0.5 * atan2(amp_sin, amp_cos).  A constant (or identically zero) scan
     is flagged degenerate.  For the product state the scan profile does not
     depend on theta_s and the profile peak (45 deg) is returned even when
     the amplitude vanishes.
@@ -183,8 +167,6 @@ def find_theta_max(
     else:
         theta_max = normalize_angle_deg(math.degrees(0.5 * math.atan2(amp_sin, amp_cos)))
     vis = 0.0 if degenerate else swing / mean
-    if not degenerate:
-        _grid_check(mean, amp_cos, amp_sin, theta_max)
     return ThetaMaxResult(
         theta_max=theta_max,
         r_max=r_max,
@@ -220,6 +202,7 @@ def shift_table(
                 theta_max=res.theta_max,
                 shift=signed_angle_difference(res.theta_max, ref_peak),
                 degenerate=res.degenerate,
+                visibility=res.visibility,
             )
         )
     return rows

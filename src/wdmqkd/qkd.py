@@ -41,13 +41,16 @@ __all__ = [
 RECTILINEAR_DEG = 0.0
 DIAGONAL_DEG = 45.0
 
+# Largest pair count the multinomial draw accepts (a signed 64-bit integer).
+MAX_PAIRS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Protocol parameters of one key-exchange run.
 
     Attributes:
-        n_pairs: Number of distributed pairs, >= 1.
+        n_pairs: Number of distributed pairs, in [1, MAX_PAIRS].
         bases: Analyzer angles (rectilinear, diagonal) in degrees.
         flip_rectilinear: One party inverts its rectilinear-basis bits
             (the default suits the anti-correlated rectilinear outcomes of
@@ -64,13 +67,19 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n_pairs) != self.n_pairs or self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be a positive integer, got {self.n_pairs}")
+        try:
+            n_pairs = int(self.n_pairs)
+        except (TypeError, ValueError, OverflowError):
+            n_pairs = None
+        if n_pairs != self.n_pairs or not 1 <= n_pairs <= MAX_PAIRS:
+            raise ValueError(
+                f"n_pairs must be an integer in [1, 2**63 - 1], got {self.n_pairs}"
+            )
         if len(self.bases) != 2:
             raise ValueError(f"exactly two basis angles are required, got {self.bases}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "n_pairs", int(self.n_pairs))
+        object.__setattr__(self, "n_pairs", n_pairs)
         object.__setattr__(self, "bases", (float(self.bases[0]), float(self.bases[1])))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -129,13 +138,6 @@ def derive_flips(
     return (e_rect < 0.0, e_diag < 0.0)
 
 
-def _qber(errors: np.ndarray, mask: np.ndarray) -> float:
-    n = int(mask.sum())
-    if n == 0:
-        return math.nan
-    return float(errors[mask].sum() / n)
-
-
 def run_bbm92(
     state: BiphotonPureState | ProductState,
     config: ProtocolConfig,
@@ -144,11 +146,14 @@ def run_bbm92(
 ) -> ChannelKeyReport:
     """Simulate one channel's key exchange and report its rates.
 
-    Per pair, both parties draw a uniform basis bit; the joint analyzer
-    outcome is then sampled from the four-outcome distribution at the chosen
-    angles via a single uniform draw against its cumulative weights.  The
-    random stream is derived from (config.seed, channel_id), so reruns with
-    the same arguments reproduce the report exactly.
+    Each pair falls into one of 16 cells (signal basis, idler basis, joint
+    analyzer outcome): both bases are uniform bits and the outcome follows
+    the four-outcome distribution at the chosen angles.  The report depends
+    only on the cell counts, so they are drawn as one multinomial over the
+    16 cells, which has the same distribution as sampling every pair and
+    costs the same for any n_pairs.  The random stream is derived from
+    (config.seed, channel_id), so reruns with the same arguments reproduce
+    the report exactly.
 
     Args:
         state: Channel state the outcomes are sampled from.
@@ -161,36 +166,22 @@ def run_bbm92(
         secret-bit estimate sifted_bits * secret_fraction.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(channel_id)]))
-    n = config.n_pairs
-    basis_s = rng.integers(0, 2, size=n)
-    basis_i = rng.integers(0, 2, size=n)
-    draw = rng.random(n)
+    # Cell weights p[basis_s, basis_i, outcome], outcome 0 = tt, 1 = tr, 2 = rt, 3 = rr.
+    p = np.array([
+        joint_outcome_distribution(state, MeasurementSetting(angle_s, angle_i)).as_tuple()
+        for angle_s in config.bases
+        for angle_i in config.bases
+    ])
+    counts = rng.multinomial(config.n_pairs, (p / p.sum()).ravel()).reshape(2, 2, 4).tolist()
 
-    # Outcome index per pair: 0 = tt, 1 = tr, 2 = rt, 3 = rr.
-    outcome = np.empty(n, dtype=np.int64)
-    for bs in (0, 1):
-        for bi in (0, 1):
-            mask = (basis_s == bs) & (basis_i == bi)
-            if not mask.any():
-                continue
-            setting = MeasurementSetting(config.bases[bs], config.bases[bi])
-            dist = joint_outcome_distribution(state, setting)
-            cdf = np.cumsum(dist.as_tuple())
-            cdf[-1] = 1.0
-            outcome[mask] = np.searchsorted(cdf, draw[mask], side="right")
+    def qber(basis: int, flip: bool) -> float:
+        tt, tr, rt, rr = counts[basis][basis]
+        n = tt + tr + rt + rr
+        return math.nan if n == 0 else ((tt + rr) if flip else (tr + rt)) / n
 
-    bit_s = outcome >> 1
-    bit_i = outcome & 1
-    matched = basis_s == basis_i
-    rect = matched & (basis_s == 0)
-    diag = matched & (basis_s == 1)
-
-    flips = np.array([config.flip_rectilinear, config.flip_diagonal], dtype=np.int64)
-    errors = (bit_s ^ bit_i ^ flips[basis_i]).astype(np.int64)
-
-    qber_rect = _qber(errors, rect)
-    qber_diag = _qber(errors, diag)
-    sifted_bits = int(matched.sum())
+    qber_rect = qber(0, config.flip_rectilinear)
+    qber_diag = qber(1, config.flip_diagonal)
+    sifted_bits = sum(counts[0][0]) + sum(counts[1][1])
     if math.isnan(qber_rect) or math.isnan(qber_diag):
         fraction = 0.0
     else:

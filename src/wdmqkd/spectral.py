@@ -104,7 +104,9 @@ class SpectralChannel:
         lambda_signal: Signal wavelength, nm (the channel key).
         lambda_idler: Energy-matched idler wavelength, nm.
         rate_HV: Rate of the H-signal / V-idler term, counts/s.
-        rate_VH: Rate of the V-signal / H-idler term, counts/s.
+        rate_VH: Rate of the V-signal / H-idler term, counts/s.  Both rates
+            may be zero (a dark channel, e.g. far outside both bands); such
+            a channel has no state.
         alpha: Relative phase of the channel state, radians.
     """
 
@@ -119,8 +121,6 @@ class SpectralChannel:
             raise ValueError("channel wavelengths must be positive")
         if self.rate_HV < 0.0 or self.rate_VH < 0.0:
             raise ValueError("channel rates must be >= 0")
-        if self.rate_HV == 0.0 and self.rate_VH == 0.0:
-            raise ValueError("channel rates must not both be zero")
 
 
 def idler_wavelength(
@@ -281,12 +281,18 @@ def channel_state(
         convention: 'ratio_as_f' or 'ratio_as_inverse_f'; see RATIO_CONVENTIONS.
 
     Raises:
-        ValueError: For an unknown convention or when the chosen reading is
-            infinite (the zero-rate side would need a label swap).
+        ValueError: For an unknown convention, a dark channel (both rates
+            zero), or when the chosen reading is infinite (the zero-rate side
+            would need a label swap).
     """
     if convention not in RATIO_CONVENTIONS:
         raise ValueError(
             f"unknown ratio convention {convention!r}, expected one of {RATIO_CONVENTIONS}"
+        )
+    if channel.rate_HV == 0.0 and channel.rate_VH == 0.0:
+        raise ValueError(
+            f"channel at {channel.lambda_signal!r} nm has zero rate in both bands; "
+            "its amplitude ratio is undefined"
         )
     est = estimate_f(channel.rate_HV, channel.rate_VH)
     f = est.f_hat if convention == "ratio_as_f" else est.f_hat_inverse

@@ -102,6 +102,12 @@ def test_value_constraints_name_the_key():
         loads_config("[1, 2]")
 
 
+@pytest.mark.parametrize("value", ["Infinity", "NaN", str(2**63), str(2**70)])
+def test_unsupported_n_pairs_rejected_with_path(value):
+    with pytest.raises(ConfigError, match="qkd.n_pairs"):
+        loads_config('{"qkd": {"n_pairs": %s}}' % value)
+
+
 def test_two_channel_config():
     cfg = loads_config(
         json.dumps(
@@ -223,6 +229,45 @@ def test_cli_spectrum(tmp_path):
     assert float(row_866[5]) == pytest.approx(3.0**0.5, rel=1e-9)
     row_870 = table[870.0]
     assert float(row_870[4]) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_cli_dark_channels(tmp_path):
+    # far from both bands the Gaussian rates underflow to 0.0: the last three
+    # of 8 channels on 860-1100 nm are dark
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": {"lambda_max_nm": 1100.0}, "qkd": {"n_pairs": 1000}}))
+    dark = {5, 6, 7}
+
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "spectrum.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 8
+    for k, row in enumerate(rows):
+        assert (row[2:] == ["0.0", "0.0", "nan", "nan"]) == (k in dark)
+
+    out = tmp_path / "sim"
+    assert main(["simulate-fit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate_fit_summary.json").read_text())
+    errors = {r["channel"]: r["error"] for r in summary["rows"] if "error" in r}
+    assert dark <= set(errors)
+    assert "1100.0 nm" in errors[7]
+
+    assert main(["qkd", "--config", str(cfg_path), "--out", str(tmp_path / "qkd")]) == 2
+
+
+def test_cli_theory_scan_peak_calls(tmp_path, monkeypatch):
+    import wdmqkd.cli as cli
+    import wdmqkd.correlation as correlation
+
+    calls = []
+    original = correlation.find_theta_max
+    counting = lambda *a: calls.append(a) or original(*a)
+    monkeypatch.setattr(correlation, "find_theta_max", counting)
+    # also count calls the command would make outside shift_table
+    monkeypatch.setattr(cli, "find_theta_max", counting, raising=False)
+    rc = main(["theory-scan", "--theta-s", "0,45,90,135", "--out", str(tmp_path / "t")])
+    assert rc == 0
+    assert len(calls) == 4 + 1  # one per signal angle plus the reference
 
 
 def test_cli_qkd(tmp_path):

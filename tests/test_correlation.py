@@ -87,6 +87,7 @@ def test_shift_table_reference_and_entries():
     assert entry.theta_max == pytest.approx(59.97059823848534, abs=1e-9)
     assert entry.shift == pytest.approx(-30.029401761514655, abs=1e-9)
     assert not entry.degenerate
+    assert entry.visibility == visibility(state, 45.0)
 
 
 def test_shift_table_bell_states():

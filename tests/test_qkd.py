@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,3 +162,42 @@ def test_protocol_config_validation():
         ProtocolConfig(seed=-3)
     with pytest.raises(ValueError):
         ProtocolConfig(bases=(0.0, 45.0, 90.0))
+
+
+@pytest.mark.parametrize("n_pairs", [10**12, 2**63 - 1])
+def test_keying_cost_independent_of_n_pairs(n_pairs):
+    f = 1.73
+    want = (1.0 - f) ** 2 / (2.0 * (1.0 + f * f))
+    config = ProtocolConfig(n_pairs=n_pairs, seed=7)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = run_bbm92(BiphotonPureState(f, 0.0), config)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2**20
+    assert report.qber_rect == 0.0
+    assert abs(report.qber_diag - want) < 1e-5
+    assert abs(report.sifted_bits - n_pairs / 2) < 6.0 * math.sqrt(n_pairs / 4)
+
+
+def test_sifted_bits_binomial_over_seeds():
+    # matched bases occur with probability 1/2, so sifted_bits ~ Binomial(n, 1/2)
+    n, runs = 10_000, 200
+    state = BiphotonPureState(1.73, 0.4)
+    sifted = np.array(
+        [run_bbm92(state, ProtocolConfig(n_pairs=n, seed=s)).sifted_bits for s in range(runs)],
+        dtype=float,
+    )
+    var = n / 4.0
+    assert abs(sifted.mean() - n / 2.0) < 5.0 * math.sqrt(var / runs)
+    assert abs(sifted.var(ddof=1) - var) < 5.0 * var * math.sqrt(2.0 / (runs - 1))
+
+
+@pytest.mark.parametrize("n_pairs", [math.inf, -math.inf, math.nan, 2**63, 2**70])
+def test_protocol_config_rejects_unsupported_n_pairs(n_pairs):
+    with pytest.raises(ValueError, match="n_pairs"):
+        ProtocolConfig(n_pairs=n_pairs)

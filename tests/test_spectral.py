@@ -125,6 +125,14 @@ def test_channel_state_matches_estimate_f():
         )
 
 
+def test_dark_channel_has_no_state():
+    hv, vh = default_profiles()
+    (ch,) = build_channels(hv, vh, alpha=0.0, lambda_range=(1100.0, 1100.0), n_channels=1)
+    assert ch.rate_HV == ch.rate_VH == 0.0
+    with pytest.raises(ValueError, match="1100.0 nm"):
+        channel_state(ch)
+
+
 def test_tabulated_spectrum_round_trip(tmp_path):
     csv_text = textwrap.dedent(
         """\
