@@ -3,12 +3,13 @@
 CHSH optimization over analyzer angles
 ======================================
 
-For each source setting the script searches the four analyzer angles
-(a, a', b, b') maximizing S = E(a,b) - E(a,b') + E(a',b) + E(a',b') and
-compares the optimum with the closed-form ceiling of this state family,
-2 sqrt(1 + kappa^2) with kappa = 2 f cos(alpha) / (1 + f^2).  Entangled
-states push S past the classical bound of 2; the separable product state
-cannot.
+For each source setting the script prints the four analyzer angles
+(a, a', b, b') maximizing S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), which
+chsh_optimize reads from the singular value decomposition of the state's
+2x2 polarization correlation tensor, and compares the optimum with the
+ceiling of this state family, 2 sqrt(1 + kappa^2) with
+kappa = 2 f cos(alpha) / (1 + f^2).  Entangled states push S past the
+classical bound of 2; the separable product state cannot.
 """
 
 import math

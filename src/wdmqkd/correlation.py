@@ -226,64 +226,31 @@ def chsh_value(
     )
 
 
-def _correlation_matrix(
-    state: BiphotonPureState | ProductState, angles: np.ndarray
-) -> np.ndarray:
-    return np.array(
-        [
-            [correlation_E(state, MeasurementSetting(a, b)) for b in angles]
-            for a in angles
-        ]
-    )
-
-
 def chsh_optimize(
     state: BiphotonPureState | ProductState,
 ) -> tuple[ChshSettings, float]:
-    """Maximize |S| over all four analyzer angles.
+    """Maximize S over all four analyzer angles in closed form.
 
-    A 5-degree coarse grid locates the basin; coordinate descent with step
-    halving then refines the four angles to ~1e-5 deg, which pins |S| far
-    below the 1e-6 accuracy target.  When the best S is negative both signal
-    angles are rotated by 90 deg, which flips every correlation and makes the
-    reported optimum positive.
+    A linear polarizer at theta measures n(theta) . (sigma_z, sigma_x) with
+    n(theta) = (-cos 2 theta, sin 2 theta), so E(a, b) = n(a)^T T n(b) for
+    the 2x2 correlation tensor T, read from four correlations at 0 and
+    45 deg.  With T = U diag(t1, t2) V^T the maximum over the analyzer plane
+    is 2 sqrt(t1^2 + t2^2) (R., P. & M. Horodecki, Phys. Lett. A 200, 340
+    (1995)), reached at n(a) = u2, n(a') = u1 and
+    n(b), n(b') = cos(phi) v1 +- sin(phi) v2 with phi = atan2(t2, t1).
 
     Returns:
         (settings, s_max) with s_max = chsh_value(state, settings) >= 0.
     """
-    grid = np.arange(0.0, 180.0, 5.0)
-    em = _correlation_matrix(state, grid)
-    # S over every grid combination: s[a, ap, b, bp]
-    s = (
-        em[:, None, :, None]
-        - em[:, None, None, :]
-        + em[None, :, :, None]
-        + em[None, :, None, :]
+    e = lambda s, i: correlation_E(state, MeasurementSetting(s, i))
+    t = np.array([[e(0.0, 0.0), -e(0.0, 45.0)], [-e(45.0, 0.0), e(45.0, 45.0)]])
+    u, (t1, t2), vt = np.linalg.svd(t)
+    phi = math.atan2(t2, t1)
+    along, across = math.cos(phi) * vt[0], math.sin(phi) * vt[1]
+    angle = lambda n: normalize_angle_deg(math.degrees(0.5 * math.atan2(n[1], -n[0])))
+    settings = ChshSettings(
+        angle(u[:, 1]), angle(u[:, 0]), angle(along + across), angle(along - across)
     )
-    ia, iap, ib, ibp = np.unravel_index(np.argmax(np.abs(s)), s.shape)
-    angles = [grid[ia], grid[iap], grid[ib], grid[ibp]]
-
-    def value(a4: list[float]) -> float:
-        return chsh_value(state, ChshSettings(*a4))
-
-    best = abs(value(angles))
-    step = 2.5
-    while step > 1e-5:
-        improved = False
-        for k in range(4):
-            for sign in (1.0, -1.0):
-                trial = list(angles)
-                trial[k] = (trial[k] + sign * step) % 180.0
-                cand = abs(value(trial))
-                if cand > best + 1e-15:
-                    angles, best = trial, cand
-                    improved = True
-        if not improved:
-            step *= 0.5
-    if value(angles) < 0.0:
-        angles[0] = (angles[0] + 90.0) % 180.0
-        angles[1] = (angles[1] + 90.0) % 180.0
-    settings = ChshSettings(*angles)
     return settings, chsh_value(state, settings)
 
 

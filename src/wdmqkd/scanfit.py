@@ -125,8 +125,8 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
         and the best parameters found are returned.
 
     Raises:
-        ValueError: For an unsupported period, fewer than 4 points, or an
-            angle span below half a period.
+        ValueError: For an unsupported period, fewer than 4 points, an
+            angle span below half a period, or all-zero counts.
     """
     if period not in SUPPORTED_PERIODS:
         raise ValueError(f"period must be one of {SUPPORTED_PERIODS}, got {period}")
@@ -143,6 +143,8 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
         )
     if np.any(y < 0.0):
         raise ValueError("counts must be >= 0")
+    if not np.any(y > 0.0):
+        raise ValueError("counts are all zero: an empty scan has no fringe to fit")
 
     omega = 2.0 * np.pi / period  # radians per degree of scan angle
     sqrt_w = 1.0 / np.sqrt(np.maximum(y, 1.0))

@@ -255,6 +255,25 @@ def test_cli_dark_channels(tmp_path):
     assert main(["qkd", "--config", str(cfg_path), "--out", str(tmp_path / "qkd")]) == 2
 
 
+def test_cli_simulate_fit_all_zero_scan(tmp_path):
+    # channel 4 (997 nm) has f ~ 4e7: at theta_s = 90 deg every count is 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": {"lambda_max_nm": 1100.0}}))
+    out = tmp_path / "sim"
+    assert main(["simulate-fit", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    written = sorted(out.glob("*.json"))
+    assert written
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject) for p in written}
+    rows = docs["simulate_fit_summary.json"]["rows"]
+    row = next(r for r in rows if r["channel"] == 4 and r.get("theta_s_deg") == 90.0)
+    assert "all zero" in row["error"]
+    assert "fit_ch04_thetas_90.json" not in docs
+
+
 def test_cli_theory_scan_peak_calls(tmp_path, monkeypatch):
     import wdmqkd.cli as cli
     import wdmqkd.correlation as correlation

@@ -185,6 +185,44 @@ def test_chsh_optimize_matches_two_singular_value_bound():
         assert chsh_value(state, settings) == pytest.approx(s, abs=1e-9)
 
 
+def _chsh_ceiling(f, alpha):
+    kappa = 2.0 * f * math.cos(alpha) / (1.0 + f * f)
+    return 2.0 * math.sqrt(1.0 + kappa * kappa)
+
+
+@pytest.mark.parametrize("f, alpha_deg", [(0.2552, 89.5), (0.5, 90.35), (0.5, 90.37)])
+def test_chsh_optimize_near_vanishing_diagonal_correlation(f, alpha_deg):
+    # kappa cos(alpha) is ~5e-3 here; S exceeds 2 by only ~2e-5
+    state = BiphotonPureState.from_degrees(f, alpha_deg)
+    settings, s = chsh_optimize(state)
+    assert s == pytest.approx(_chsh_ceiling(f, math.radians(alpha_deg)), abs=1e-12)
+    assert s > 2.0 + 1e-5
+    assert chsh_value(state, settings) == pytest.approx(s, abs=1e-12)
+
+
+def test_chsh_optimize_closed_form_random_states():
+    rng = np.random.default_rng(28)
+    for _ in range(500):
+        f = rng.uniform(0.0, 3.0)
+        alpha = rng.uniform(0.0, 2.0 * np.pi)
+        state = BiphotonPureState(f, alpha)
+        settings, s = chsh_optimize(state)
+        assert s == pytest.approx(_chsh_ceiling(f, alpha), abs=1e-12)
+        assert chsh_value(state, settings) == pytest.approx(s, abs=1e-12)
+
+
+def test_chsh_optimize_correlation_calls(monkeypatch):
+    import wdmqkd.correlation as correlation
+
+    calls = []
+    original = correlation.correlation_E
+    monkeypatch.setattr(correlation, "correlation_E", lambda *a: calls.append(a) or original(*a))
+    for state in (BiphotonPureState(1.73, 0.4), ProductState()):
+        calls.clear()
+        chsh_optimize(state)
+        assert 0 < len(calls) <= 8
+
+
 def test_chsh_never_exceeds_tsirelson():
     rng = np.random.default_rng(26)
     for _ in range(10000):

@@ -142,6 +142,11 @@ def test_input_validation():
         fit_sinusoid(ANGLES, y[:-1])
 
 
+def test_all_zero_counts_rejected():
+    with pytest.raises(ValueError, match="all zero"):
+        fit_sinusoid(ANGLES, np.zeros(ANGLES.shape))
+
+
 def test_fit_result_dict_keys():
     y = fringe(ANGLES, 200.0, 0.3, 75.0)
     d = fit_result_to_dict(fit_sinusoid(ANGLES, y))
