@@ -39,7 +39,9 @@ _TWO_PI = 2.0 * math.pi
 def normalize_angle_deg(theta: float) -> float:
     """Reduce a polarizer angle to [0, 180); analyzer axes are 180-deg periodic."""
     t = math.fmod(theta, 180.0)
-    return t + 180.0 if t < 0.0 else t
+    if t < 0.0:
+        t += 180.0
+    return 0.0 if t == 180.0 else t  # a tiny negative angle rounds up to 180
 
 
 @dataclass(frozen=True)

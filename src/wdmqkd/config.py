@@ -114,6 +114,8 @@ def _get(section: dict, key: str, default, kind, path: str):
         raise ConfigError(
             f"key '{path}{key}' must be of type {kind.__name__}, got {value!r}"
         )
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key '{path}{key}' must be finite, got {value}")
     return value
 
 
@@ -175,13 +177,10 @@ def _parse_source(section: dict, path: str = "source.") -> SourceConfig:
     hv_default, vh_default = default_profiles()
     hv = _parse_profile(_get(section, "hv_profile", {}, dict, path), path + "hv_profile.", hv_default)
     vh = _parse_profile(_get(section, "vh_profile", {}, dict, path), path + "vh_profile.", vh_default)
-    alpha_deg = _get(section, "alpha_deg", 0.0, float, path)
-    if not math.isfinite(alpha_deg):
-        raise ConfigError(f"key '{path}alpha_deg' must be finite, got {alpha_deg}")
     return SourceConfig(
         kind=kind,
         pump_nm=pump_nm,
-        alpha_deg=alpha_deg,
+        alpha_deg=_get(section, "alpha_deg", 0.0, float, path),
         f_convention=convention,
         lambda_min_nm=lo,
         lambda_max_nm=hi,

@@ -63,16 +63,16 @@ class DetectionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pair_rate < 0.0:
-            raise ValueError(f"pair_rate must be >= 0, got {self.pair_rate}")
+        for name in ("pair_rate", "accidental_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
         for name in ("efficiency_signal", "efficiency_idler"):
             eff = getattr(self, name)
             if not 0.0 <= eff <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {eff}")
-        if self.accidental_rate < 0.0:
-            raise ValueError(f"accidental_rate must be >= 0, got {self.accidental_rate}")
-        if not self.integration_time > 0.0:
-            raise ValueError(f"integration_time must be > 0, got {self.integration_time}")
+        if not 0.0 < self.integration_time < math.inf:
+            raise ValueError(f"integration_time must be finite and > 0, got {self.integration_time}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))

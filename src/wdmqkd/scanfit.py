@@ -7,9 +7,11 @@ The fit model is
 with the period fixed (180 deg by default, matching the physical fringe of a
 polarizer pair; 360 deg is supported for data recorded against a full-turn
 convention).  Points are weighted by max(counts, 1) as their Poisson
-variance.  Starting values come from the discrete Fourier component at the
-fit period and a damped Gauss-Newton loop refines them; the parameter
-covariance is the inverse weighted normal matrix at the solution.
+variance.  With w = 2*pi/period the model is the linear model
+A + B*cos(w*theta) + C*sin(w*theta) in other coordinates, so the weighted
+least-squares optimum is one linear solve, mapped back by c = A,
+v = hypot(B, C)/A and theta0 = atan2(C, B)/w.  The parameter covariance is
+the inverse weighted normal matrix of (c, v, theta0) at the solution.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ __all__ = [
 
 SUPPORTED_PERIODS = (180.0, 360.0)
 
-_MAX_ITERATIONS = 200
-_REL_STEP_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -50,7 +49,8 @@ class FitResult:
             is unidentifiable, e.g. theta0 of a constant scan.
         chi2_reduced: Weighted residual sum over (n_points - 3).
         period: Fit period in degrees.
-        converged: True when the Gauss-Newton step shrank below tolerance.
+        converged: Always True for a returned fit: the solve does not
+            iterate, and input it cannot fit raises instead.
         n_points: Number of fitted points.
     """
 
@@ -86,28 +86,12 @@ class ScanMetrics:
     visibility_err: float
 
 
-def _model(params: np.ndarray, theta: np.ndarray, omega: float) -> np.ndarray:
-    c, v, theta0 = params
-    return c * (1.0 + v * np.cos(omega * (theta - theta0)))
-
-
 def _jacobian(params: np.ndarray, theta: np.ndarray, omega: float) -> np.ndarray:
     c, v, theta0 = params
     phase = omega * (theta - theta0)
     cos_ph = np.cos(phase)
     sin_ph = np.sin(phase)
     return np.column_stack([1.0 + v * cos_ph, c * cos_ph, c * v * omega * sin_ph])
-
-
-def _fourier_start(theta: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
-    x = 2.0 * np.pi * theta / period
-    c0 = float(np.mean(y))
-    a1 = 2.0 * float(np.mean(y * np.cos(x)))
-    b1 = 2.0 * float(np.mean(y * np.sin(x)))
-    swing = math.hypot(a1, b1)
-    v0 = swing / c0 if c0 > 0.0 else 0.0
-    theta0 = period / (2.0 * np.pi) * math.atan2(b1, a1)
-    return np.array([c0 if c0 > 0.0 else max(y.max(), 1.0), v0, theta0])
 
 
 def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
@@ -120,18 +104,20 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
         period: Fringe period in degrees, 180 or 360.
 
     Returns:
-        FitResult in canonical form (v >= 0, theta0 in [0, period)).  When
-        the iteration stalls before the step tolerance, converged is False
-        and the best parameters found are returned.
+        FitResult in canonical form (v >= 0, theta0 in [0, period)).
 
     Raises:
-        ValueError: For an unsupported period, fewer than 4 points, an
-            angle span below half a period, or all-zero counts.
+        ValueError: For an unsupported period, non-finite angles or counts,
+            fewer than 4 points, an angle span below half a period, negative
+            or all-zero counts, or fewer than 3 distinct angles modulo the
+            period (a rank-deficient solve).
     """
     if period not in SUPPORTED_PERIODS:
         raise ValueError(f"period must be one of {SUPPORTED_PERIODS}, got {period}")
     theta = np.asarray(theta_deg, dtype=float)
     y = np.asarray(counts, dtype=float)
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(y))):
+        raise ValueError("theta_deg and counts must be finite")
     if theta.ndim != 1 or theta.shape != y.shape:
         raise ValueError("theta_deg and counts must be 1-d arrays of equal length")
     if theta.size < 4:
@@ -148,40 +134,22 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
 
     omega = 2.0 * np.pi / period  # radians per degree of scan angle
     sqrt_w = 1.0 / np.sqrt(np.maximum(y, 1.0))
-
-    def weighted_ss(params: np.ndarray) -> float:
-        r = (y - _model(params, theta, omega)) * sqrt_w
-        return float(r @ r)
-
-    params = _fourier_start(theta, y, period)
-    ss = weighted_ss(params)
-    converged = False
-    for _ in range(_MAX_ITERATIONS):
-        resid = (y - _model(params, theta, omega)) * sqrt_w
-        jac = _jacobian(params, theta, omega) * sqrt_w[:, None]
-        delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            trial = params + scale * delta
-            ss_trial = weighted_ss(trial)
-            if ss_trial <= ss:
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-        rel_step = float(np.linalg.norm(scale * delta)) / max(float(np.linalg.norm(params)), 1e-30)
-        params, ss = trial, ss_trial
-        if rel_step < _REL_STEP_TOL:
-            converged = True
-            break
+    design = np.column_stack([np.ones_like(theta), np.cos(omega * theta), np.sin(omega * theta)])
+    (a, b, s), ss, rank, _ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=None)
+    if rank < 3:
+        raise ValueError(
+            f"theta_deg needs at least 3 distinct angles modulo {period} deg; "
+            f"the fit's design matrix has rank {rank}"
+        )
 
     # Canonical form: positive visibility, phase folded into [0, period).
+    params = np.array([a, math.hypot(b, s) / a, math.atan2(s, b) / omega])
     if params[1] < 0.0:
         params[1] = -params[1]
         params[2] += period / 2.0
     params[2] %= period
+    if params[2] == period:  # a tiny negative phase rounds up to the period
+        params[2] = 0.0
 
     jac = _jacobian(params, theta, omega) * sqrt_w[:, None]
     normal = jac.T @ jac
@@ -189,7 +157,7 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
         covariance = np.linalg.inv(normal)
     except np.linalg.LinAlgError:
         covariance = np.full((3, 3), np.inf)
-    chi2_reduced = weighted_ss(params) / (theta.size - 3)
+    chi2_reduced = ss[0] / (theta.size - 3)
     return FitResult(
         c=float(params[0]),
         v=float(params[1]),
@@ -197,7 +165,7 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
         covariance=covariance,
         chi2_reduced=float(chi2_reduced),
         period=float(period),
-        converged=converged,
+        converged=True,
         n_points=int(theta.size),
     )
 

@@ -23,6 +23,7 @@ from wdmqkd import (
     rate_expanded,
     rate_product,
 )
+from wdmqkd.biphoton import normalize_angle_deg
 
 
 def amplitude_oracle(f, alpha, theta_s_deg, theta_i_deg):
@@ -236,3 +237,10 @@ def test_measurement_setting_normalizes():
     assert setting.theta_i == pytest.approx(90.0)
     with pytest.raises(ValueError):
         MeasurementSetting(math.nan, 0.0)
+
+
+def test_tiny_negative_angle_normalizes_to_zero():
+    # fmod then + 180 rounds a tiny negative angle up to 180.0, outside [0, 180)
+    assert normalize_angle_deg(-1e-17) == 0.0
+    assert normalize_angle_deg(-5e-324) == 0.0
+    assert MeasurementSetting(-1e-15, 0.0).theta_s == 0.0

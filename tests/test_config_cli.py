@@ -108,6 +108,31 @@ def test_unsupported_n_pairs_rejected_with_path(value):
         loads_config('{"qkd": {"n_pairs": %s}}' % value)
 
 
+@pytest.mark.parametrize(
+    "key", ["pair_rate_cps", "accidental_rate_cps", "integration_time_s", "efficiency_signal"]
+)
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_detection_values_rejected_with_path(key, value):
+    with pytest.raises(ConfigError, match="detection." + key):
+        loads_config('{"detection": {"%s": %s}}' % (key, value))
+
+
+def test_non_finite_values_rejected_in_every_section():
+    with pytest.raises(ConfigError, match="source.alpha_deg"):
+        loads_config('{"source": {"alpha_deg": NaN}}')
+    with pytest.raises(ConfigError, match="source.hv_profile.fwhm_nm"):
+        loads_config('{"source": {"hv_profile": {"fwhm_nm": Infinity}}}')
+    with pytest.raises(ConfigError, match="fit.period_deg"):
+        loads_config('{"fit": {"period_deg": NaN}}')
+
+
+def test_load_config_rejects_non_finite(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"detection": {"integration_time_s": Infinity}}')
+    with pytest.raises(ConfigError, match="detection.integration_time_s"):
+        load_config(path)
+
+
 def test_two_channel_config():
     cfg = loads_config(
         json.dumps(
@@ -314,6 +339,23 @@ def test_cli_reproduce_figures(tmp_path):
     rows = {r["theta_s_deg"]: r for r in collected["f173_alpha0"]["rows"]}
     assert rows[45.0]["shift_deg"] == pytest.approx(-30.029401761514655, abs=1e-6)
     assert (out / "f1_alpha60" / "theory_scan_thetas_90.csv").exists()
+
+
+def test_cli_reproduce_figures_peaks_below_180(tmp_path):
+    # f = 1, alpha = 180 deg peaks at 0 deg for theta_s = 90 deg
+    out = tmp_path / "figs"
+    assert main(["reproduce-figures", "--out", str(out)]) == 0
+    peaks = []
+
+    def collect(obj):
+        if "theta_max_deg" in obj:
+            peaks.append(obj["theta_max_deg"])
+        return obj
+
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), object_hook=collect)
+    assert len(peaks) > 16
+    assert all(0.0 <= p < 180.0 for p in peaks)
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):

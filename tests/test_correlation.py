@@ -299,3 +299,11 @@ def test_signed_angle_difference_wraps():
     assert signed_angle_difference(1.0, 179.0) == pytest.approx(2.0)
     assert signed_angle_difference(90.0, 0.0) == pytest.approx(90.0)
     assert signed_angle_difference(100.0, 10.0) == pytest.approx(90.0)
+
+
+@pytest.mark.parametrize("alpha_deg", [91.0, 135.0, 180.0, 225.0, 269.0])
+def test_theta_max_at_signal_90_stays_below_180(alpha_deg):
+    # the peak sits at 0 deg; a rounding error below 0 must not report 180.0
+    theta_max = find_theta_max(BiphotonPureState.from_degrees(1.73, alpha_deg), 90.0).theta_max
+    assert 0.0 <= theta_max < 180.0
+    assert min(theta_max, 180.0 - theta_max) < 1e-9

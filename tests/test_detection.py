@@ -149,6 +149,22 @@ def test_scan_data_validation():
         ScanData("signal", 0.0, (0.0,), (-1,))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pair_rate", math.nan),
+        ("pair_rate", math.inf),
+        ("accidental_rate", math.nan),
+        ("accidental_rate", math.inf),
+        ("integration_time", math.nan),
+        ("integration_time", math.inf),
+    ],
+)
+def test_detection_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        DetectionConfig(**{field: value})
+
+
 def test_detection_config_validation():
     with pytest.raises(ValueError):
         DetectionConfig(pair_rate=-1.0)

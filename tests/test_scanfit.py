@@ -171,3 +171,40 @@ def test_scan_metrics_folds_360_phase():
     fit = fit_sinusoid(theta, y, period=360.0)
     metrics = scan_metrics(fit)
     assert metrics.theta_max == pytest.approx(70.0, rel=1e-6)
+
+
+def test_duplicate_angles_rejected():
+    # two distinct angles cannot fix three parameters, so no error bars exist
+    with pytest.raises(ValueError, match="distinct angles"):
+        fit_sinusoid([0.0, 0.0, 0.0, 0.0, 90.0], [100.0, 100.0, 100.0, 100.0, 40.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("target", ["angles", "counts"])
+def test_non_finite_input_rejected(bad, target, capfd):
+    theta = ANGLES.copy()
+    y = fringe(ANGLES, 300.0, 0.5, 40.0)
+    (theta if target == "angles" else y)[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_sinusoid(theta, y)
+    assert capfd.readouterr().err == ""
+
+
+def test_permuted_points_fit_identically():
+    state = BiphotonPureState(1.73, 0.0)
+    scan = simulate_scan(state, ("signal", 45.0), ANGLES, DetectionConfig(seed=4))
+    theta, y = np.asarray(scan.angles), np.asarray(scan.counts, dtype=float)
+    fit = fit_sinusoid(theta, y)
+    order = np.random.default_rng(9).permutation(theta.size)
+    permuted = fit_sinusoid(theta[order], y[order])
+    for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+        assert getattr(permuted, name) == pytest.approx(getattr(fit, name), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [100.0, 300.0, 1000.0])
+@pytest.mark.parametrize("v", [0.3, 0.5, 0.9])
+def test_peak_at_zero_folds_below_period(c, v):
+    # a fitted phase a rounding error below 0 must fold to 0.0, not to 180.0
+    fit = fit_sinusoid(ANGLES, fringe(ANGLES, c, v, 0.0))
+    assert 0.0 <= fit.theta0 < 180.0
+    assert min(fit.theta0, 180.0 - fit.theta0) < 1e-9
