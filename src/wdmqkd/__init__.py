@@ -15,6 +15,7 @@ from .biphoton import (
     ProductState,
     coincidence_amplitude,
     coincidence_probability,
+    coincidence_probabilities,
     correlation_E,
     joint_outcome_distribution,
     product_probability,

@@ -8,6 +8,11 @@ f = 1 with alpha = 0 or pi gives a maximally entangled state, f = 0 a bare
 measured from the vertical axis, so the transmitted direction at angle theta
 has horizontal component sin(theta) and vertical component cos(theta).
 
+Every state is its 4x4 density matrix rho over {HH, HV, VH, VV}, built from
+(0, 1, f e^{i alpha}, 0) / hypot(1, f), finite for every finite f, or from
+the separable (1, 1, 1, 1) / 2.  ``coincidence_probabilities`` evaluates
+the Born rule Tr(rho P_s x P_i) for all of them.
+
 All angles crossing this module's public boundary are degrees; phases are
 radians.  Polarizer settings are 180-degree periodic and are normalized on
 construction.
@@ -19,13 +24,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BiphotonPureState",
     "ProductState",
+    "PairState",
     "MeasurementSetting",
     "JointOutcomeDistribution",
     "coincidence_amplitude",
     "coincidence_probability",
+    "coincidence_probabilities",
     "rate_expanded",
     "rate_product",
     "product_probability",
@@ -71,6 +80,13 @@ class BiphotonPureState:
         """Build a state with the phase given in degrees."""
         return cls(f, math.radians(alpha_deg))
 
+    @property
+    def density_matrix(self) -> np.ndarray:
+        """rho of (0, 1, f e^{i alpha}, 0) / hypot(1, f), basis {HH, HV, VH, VV}."""
+        norm = math.hypot(1.0, self.f)
+        psi = np.array([0.0, 1.0 / norm, self.f / norm * cmath.exp(1j * self.alpha), 0.0])
+        return np.outer(psi, psi.conj())
+
 
 @dataclass(frozen=True)
 class ProductState:
@@ -80,6 +96,14 @@ class ProductState:
     the idler-scan peak position never depends on the signal polarizer angle.
     Used as the unentangled baseline in analysis and simulation.
     """
+
+    @property
+    def density_matrix(self) -> np.ndarray:
+        """rho of (1, 1, 1, 1) / 2, basis {HH, HV, VH, VV}."""
+        return np.full((4, 4), 0.25)
+
+
+PairState = BiphotonPureState | ProductState
 
 
 @dataclass(frozen=True)
@@ -142,23 +166,32 @@ def coincidence_amplitude(state: BiphotonPureState, setting: MeasurementSetting)
     ti = math.radians(setting.theta_i)
     cross = state.f * cmath.exp(1j * state.alpha)
     num = math.sin(ts) * math.cos(ti) + cross * math.cos(ts) * math.sin(ti)
-    return num / math.sqrt(1.0 + state.f * state.f)
+    return num / math.hypot(1.0, state.f)
 
 
-def coincidence_probability(
-    state: BiphotonPureState | ProductState, setting: MeasurementSetting
-) -> float:
-    """Probability that both analyzers transmit, for either state model.
+def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
+    """Probabilities Tr(rho P_s x P_i) that both analyzers transmit.
 
-    Accepts the entangled pure state or the separable +45 product state so
-    downstream scan simulation and correlation analysis can treat both
-    uniformly.
+    theta_s and theta_i are polarizer angles in degrees, scalars or arrays
+    that broadcast against each other by numpy's rules: a scalar theta_s and
+    an array of idler angles give one scan.  The result has the broadcast
+    shape (a numpy float for two scalars) and values in [0, 1].  A NaN or
+    infinite angle raises ValueError.
     """
-    if isinstance(state, ProductState):
-        return product_probability(setting)
-    amp = coincidence_amplitude(state, setting)
-    p = amp.real * amp.real + amp.imag * amp.imag
-    return min(p, 1.0)
+    t = np.array(np.broadcast_arrays(theta_s, theta_i), dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("polarizer angles theta_s, theta_i must be finite")
+    t = np.radians(np.mod(np.mod(t, 180.0), 180.0))  # the second mod maps 180 (from -tiny) to 0
+    (sin_s, sin_i), (cos_s, cos_i) = np.sin(t), np.cos(t)
+    v = np.array([sin_s * sin_i, sin_s * cos_i, cos_s * sin_i, cos_s * cos_i])
+    # v is real and rho Hermitian, so the imaginary part of rho cancels
+    p = np.einsum("a...,ab,b...->...", v, state.density_matrix.real, v)
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def coincidence_probability(state: PairState, setting: MeasurementSetting) -> float:
+    """Probability that both analyzers transmit at one setting."""
+    return float(coincidence_probabilities(state, setting.theta_s, setting.theta_i))
 
 
 def rate_expanded(f: float, alpha: float, setting: MeasurementSetting) -> float:
@@ -190,26 +223,17 @@ def rate_expanded(f: float, alpha: float, setting: MeasurementSetting) -> float:
 
 
 def rate_product(setting: MeasurementSetting) -> float:
-    """Coincidence fringe product of the separable +45 state (unnormalized form).
-
-    Both arms see an independent sin^2(theta + 45 deg) fringe.
-    """
-    ts = math.radians(setting.theta_s + 45.0)
-    ti = math.radians(setting.theta_i + 45.0)
-    return (math.sin(ti) * math.sin(ts)) ** 2
+    """Fringe product sin^2(theta_s + 45) sin^2(theta_i + 45) of the +45 state."""
+    return coincidence_probability(ProductState(), setting)
 
 
 def product_probability(setting: MeasurementSetting) -> float:
-    """Normalized coincidence probability of the +45 product state.
-
-    The fringe product is already a unit-sum joint distribution over the four
-    analyzer outcomes, so the probability equals rate_product.
-    """
-    return min(rate_product(setting), 1.0)
+    """Normalized coincidence probability of the +45 product state."""
+    return coincidence_probability(ProductState(), setting)
 
 
 def joint_outcome_distribution(
-    state: BiphotonPureState | ProductState, setting: MeasurementSetting
+    state: PairState, setting: MeasurementSetting
 ) -> JointOutcomeDistribution:
     """Four-outcome distribution behind two-output analyzers.
 
@@ -220,17 +244,13 @@ def joint_outcome_distribution(
         JointOutcomeDistribution over (tt, tr, rt, rr), summing to one.
     """
     ts, ti = setting.theta_s, setting.theta_i
-    return JointOutcomeDistribution(
-        p_tt=coincidence_probability(state, MeasurementSetting(ts, ti)),
-        p_tr=coincidence_probability(state, MeasurementSetting(ts, ti + 90.0)),
-        p_rt=coincidence_probability(state, MeasurementSetting(ts + 90.0, ti)),
-        p_rr=coincidence_probability(state, MeasurementSetting(ts + 90.0, ti + 90.0)),
+    p = coincidence_probabilities(
+        state, [ts, ts, ts + 90.0, ts + 90.0], [ti, ti + 90.0, ti, ti + 90.0]
     )
+    return JointOutcomeDistribution(*p.tolist())
 
 
-def correlation_E(
-    state: BiphotonPureState | ProductState, setting: MeasurementSetting
-) -> float:
+def correlation_E(state: PairState, setting: MeasurementSetting) -> float:
     """Two-outcome correlation E = p_tt + p_rr - p_tr - p_rt, in [-1, 1]."""
     d = joint_outcome_distribution(state, setting)
     e = d.p_tt + d.p_rr - d.p_tr - d.p_rt

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .biphoton import BiphotonPureState, ProductState, coincidence_probability, MeasurementSetting
+from .biphoton import BiphotonPureState, PairState, ProductState, coincidence_probabilities
 from .config import (
     ConfigError,
     RunConfig,
@@ -78,12 +78,6 @@ def _angle_label(theta: float) -> str:
     return format(float(theta), "g")
 
 
-def _state_dict(state: BiphotonPureState | ProductState) -> dict:
-    if isinstance(state, ProductState):
-        return {"kind": "product"}
-    return {"kind": "entangled", "f": state.f, "alpha_deg": math.degrees(state.alpha)}
-
-
 def cmd_theory_scan(
     cfg: RunConfig,
     f: float | None = None,
@@ -100,19 +94,19 @@ def cmd_theory_scan(
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     if product or (f is None and cfg.source.kind == "product"):
-        state: BiphotonPureState | ProductState = ProductState()
+        state: PairState = ProductState()
+        described = {"kind": "product"}
     else:
         state = BiphotonPureState.from_degrees(
             f if f is not None else 1.0,
             alpha_deg if alpha_deg is not None else cfg.source.alpha_deg,
         )
+        described = {"kind": "entangled", "f": state.f, "alpha_deg": math.degrees(state.alpha)}
     thetas = tuple(theta_s_list) if theta_s_list else (0.0, 45.0, 135.0)
-    grid = np.arange(0.0, 180.0, 1.0)
+    grid = np.arange(0.0, 180.0, 1.0).tolist()
     for ts in thetas:
-        lines = ["theta_i_deg,rate"]
-        for ti in grid:
-            p = coincidence_probability(state, MeasurementSetting(ts, float(ti)))
-            lines.append(f"{float(ti)!r},{p!r}")
+        rates = coincidence_probabilities(state, ts, grid).tolist()
+        lines = ["theta_i_deg,rate", *(f"{ti!r},{p!r}" for ti, p in zip(grid, rates))]
         _write_text(out / f"theory_scan_thetas_{_angle_label(ts)}.csv", "\n".join(lines) + "\n")
     rows = []
     for entry in shift_table(state, thetas, reference=0.0):
@@ -125,7 +119,7 @@ def cmd_theory_scan(
                 "degenerate": entry.degenerate,
             }
         )
-    summary = {"state": _state_dict(state), "rows": rows}
+    summary = {"state": described, "rows": rows}
     _write_json(out / "theory_scan_summary.json", summary)
     return summary
 

@@ -6,7 +6,8 @@ of the idler angle is a raised sinusoid
     p(theta_i) = mean + amp_cos * cos(2 theta_i) + amp_sin * sin(2 theta_i),
 
 so peak position and visibility follow in closed form from the three
-coefficients.
+coefficients.  They, and the CHSH correlation tensor, are read from the
+state's density matrix.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import (
-    BiphotonPureState,
-    MeasurementSetting,
-    ProductState,
-    correlation_E,
-    normalize_angle_deg,
-)
+from .biphoton import MeasurementSetting, PairState, correlation_E, normalize_angle_deg
+
+# Pauli operators in the (H, V) basis.  A polarizer at theta measures
+# -cos(2 theta) sigma_z + sin(2 theta) sigma_x (transmit = +1).
+_PLANE_PAULIS = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
 __all__ = [
     "ThetaMaxResult",
@@ -55,9 +54,8 @@ class ThetaMaxResult:
 
     Attributes:
         theta_max: Idler angle of maximum coincidence probability, degrees
-            in [0, 180).  For a degenerate (constant or zero) scan of the
-            entangled state the value carries no information; for the
-            product state it is the theta_s-independent profile peak.
+            in [0, 180).  For a degenerate (constant or zero) scan it is the
+            peak of the idler's singles fringe instead (see find_theta_max).
         r_max: Probability at the maximum.
         r_min: Probability at the minimum.
         visibility: (r_max - r_min) / (r_max + r_min), zero for degenerate
@@ -119,39 +117,32 @@ def signed_angle_difference(theta: float, reference: float) -> float:
     return d
 
 
-def scan_coefficients(
-    state: BiphotonPureState | ProductState, theta_s: float
-) -> tuple[float, float, float]:
+def scan_coefficients(state: PairState, theta_s: float) -> tuple[float, float, float]:
     """Sinusoid coefficients of the idler scan at fixed signal angle.
+
+    They are read from the idler operator Tr_s[(P_s x 1) rho] conditioned
+    on the signal analyzer.
 
     Returns:
         (mean, amp_cos, amp_sin) such that the coincidence probability is
         mean + amp_cos * cos(2 theta_i) + amp_sin * sin(2 theta_i).
     """
-    ts = math.radians(theta_s)
-    if isinstance(state, ProductState):
-        weight = math.sin(ts + math.pi / 4.0) ** 2
-        return (weight / 2.0, 0.0, weight / 2.0)
-    f2 = state.f * state.f
-    norm = 1.0 + f2
-    sin2_ts = math.sin(ts) ** 2
-    cos2_ts = math.cos(ts) ** 2
-    mean = (sin2_ts + f2 * cos2_ts) / (2.0 * norm)
-    amp_cos = (sin2_ts - f2 * cos2_ts) / (2.0 * norm)
-    amp_sin = state.f * math.cos(state.alpha) * math.sin(2.0 * ts) / (2.0 * norm)
-    return (mean, amp_cos, amp_sin)
+    ts = math.radians(normalize_angle_deg(theta_s))
+    u = np.array([math.sin(ts), math.cos(ts)])
+    rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']
+    (hh, hv), (_, vv) = np.einsum("a,abcd,c->bd", u, rho, u).real.tolist()
+    return ((hh + vv) / 2.0, (vv - hh) / 2.0, hv)
 
 
-def find_theta_max(
-    state: BiphotonPureState | ProductState, theta_s: float
-) -> ThetaMaxResult:
+def find_theta_max(state: PairState, theta_s: float) -> ThetaMaxResult:
     """Locate the idler angle maximizing the coincidence probability.
 
     The peak follows from the scan's sinusoid coefficients as
     0.5 * atan2(amp_sin, amp_cos).  A constant (or identically zero) scan
-    is flagged degenerate.  For the product state the scan profile does not
-    depend on theta_s and the profile peak (45 deg) is returned even when
-    the amplitude vanishes.
+    is flagged degenerate and takes the peak of the idler's singles fringe
+    Tr_s rho, the sum of the scans at theta_s and theta_s + 90, instead: for
+    the product state that is exactly 45 deg at every theta_s.  If the
+    singles fringe is flat too, the value carries no information.
 
     Args:
         state: Entangled pure state or the +45 product state.
@@ -162,10 +153,10 @@ def find_theta_max(
     r_max = mean + swing
     r_min = max(mean - swing, 0.0)
     degenerate = 2.0 * swing <= DEGENERACY_RTOL * mean or r_max <= DEGENERACY_ATOL
-    if isinstance(state, ProductState):
-        theta_max = 45.0
-    else:
-        theta_max = normalize_angle_deg(math.degrees(0.5 * math.atan2(amp_sin, amp_cos)))
+    if degenerate:
+        _, cos_90, sin_90 = scan_coefficients(state, theta_s + 90.0)
+        amp_cos, amp_sin = amp_cos + cos_90, amp_sin + sin_90
+    theta_max = normalize_angle_deg(math.degrees(0.5 * math.atan2(amp_sin, amp_cos)))
     vis = 0.0 if degenerate else swing / mean
     return ThetaMaxResult(
         theta_max=theta_max,
@@ -177,7 +168,7 @@ def find_theta_max(
 
 
 def shift_table(
-    state: BiphotonPureState | ProductState,
+    state: PairState,
     theta_s_list: list[float] | tuple[float, ...],
     reference: float = 0.0,
 ) -> list[ShiftEntry]:
@@ -208,14 +199,12 @@ def shift_table(
     return rows
 
 
-def visibility(state: BiphotonPureState | ProductState, theta_s: float) -> float:
+def visibility(state: PairState, theta_s: float) -> float:
     """Fringe visibility (r_max - r_min) / (r_max + r_min) of the idler scan."""
     return find_theta_max(state, theta_s).visibility
 
 
-def chsh_value(
-    state: BiphotonPureState | ProductState, settings: ChshSettings
-) -> float:
+def chsh_value(state: PairState, settings: ChshSettings) -> float:
     """CHSH combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     e = lambda s, i: correlation_E(state, MeasurementSetting(s, i))
     return (
@@ -226,24 +215,22 @@ def chsh_value(
     )
 
 
-def chsh_optimize(
-    state: BiphotonPureState | ProductState,
-) -> tuple[ChshSettings, float]:
+def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     """Maximize S over all four analyzer angles in closed form.
 
     A linear polarizer at theta measures n(theta) . (sigma_z, sigma_x) with
     n(theta) = (-cos 2 theta, sin 2 theta), so E(a, b) = n(a)^T T n(b) for
-    the 2x2 correlation tensor T, read from four correlations at 0 and
-    45 deg.  With T = U diag(t1, t2) V^T the maximum over the analyzer plane
-    is 2 sqrt(t1^2 + t2^2) (R., P. & M. Horodecki, Phys. Lett. A 200, 340
-    (1995)), reached at n(a) = u2, n(a') = u1 and
+    the 2x2 correlation tensor T_jk = Tr(rho sigma_j x sigma_k) over
+    (sigma_z, sigma_x).  With T = U diag(t1, t2) V^T the maximum over the
+    analyzer plane is 2 sqrt(t1^2 + t2^2) (R., P. & M. Horodecki, Phys.
+    Lett. A 200, 340 (1995)), reached at n(a) = u2, n(a') = u1 and
     n(b), n(b') = cos(phi) v1 +- sin(phi) v2 with phi = atan2(t2, t1).
 
     Returns:
         (settings, s_max) with s_max = chsh_value(state, settings) >= 0.
     """
-    e = lambda s, i: correlation_E(state, MeasurementSetting(s, i))
-    t = np.array([[e(0.0, 0.0), -e(0.0, 45.0)], [-e(45.0, 0.0), e(45.0, 45.0)]])
+    rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']
+    t = np.einsum("jca,kdb,abcd->jk", _PLANE_PAULIS, _PLANE_PAULIS, rho).real
     u, (t1, t2), vt = np.linalg.svd(t)
     phi = math.atan2(t2, t1)
     along, across = math.cos(phi) * vt[0], math.sin(phi) * vt[1]

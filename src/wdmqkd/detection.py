@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biphoton import (
-    BiphotonPureState,
-    MeasurementSetting,
-    ProductState,
-    coincidence_probability,
-    normalize_angle_deg,
-)
+from .biphoton import PairState, coincidence_probabilities, normalize_angle_deg
 
 __all__ = [
     "DetectionConfig",
@@ -135,7 +129,7 @@ def simulate_counts(p: float, config: DetectionConfig, rng: np.random.Generator)
 
 
 def simulate_scan(
-    state: BiphotonPureState | ProductState,
+    state: PairState,
     fixed: tuple[str, float],
     angles,
     config: DetectionConfig,
@@ -159,20 +153,17 @@ def simulate_scan(
     arm, fixed_theta = fixed
     if arm not in SCAN_ARMS:
         raise ValueError(f"fixed arm must be one of {SCAN_ARMS}, got {arm!r}")
-    counts = []
-    for theta in angles:
-        if arm == "signal":
-            setting = MeasurementSetting(theta_s=fixed_theta, theta_i=theta)
-        else:
-            setting = MeasurementSetting(theta_s=theta, theta_i=fixed_theta)
-        p = coincidence_probability(state, setting)
-        rng = derive_stream(config.seed, channel_id, angle_stream_key(theta))
-        counts.append(simulate_counts(p, config, rng))
+    angles = tuple(float(a) for a in angles)
+    settings = (fixed_theta, angles) if arm == "signal" else (angles, fixed_theta)
+    counts = tuple(
+        simulate_counts(p, config, derive_stream(config.seed, channel_id, angle_stream_key(theta)))
+        for theta, p in zip(angles, coincidence_probabilities(state, *settings).tolist())
+    )
     return ScanData(
         theta_fixed_arm=arm,
         theta_fixed=float(fixed_theta),
-        angles=tuple(float(a) for a in angles),
-        counts=tuple(counts),
+        angles=angles,
+        counts=counts,
         config=config,
     )
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import (
-    BiphotonPureState,
-    MeasurementSetting,
-    ProductState,
-    correlation_E,
-    joint_outcome_distribution,
-)
+from .biphoton import MeasurementSetting, PairState, coincidence_probabilities, correlation_E
 
 __all__ = [
     "ProtocolConfig",
@@ -124,7 +118,7 @@ def secret_fraction(qber_rect: float, qber_diag: float) -> float:
 
 
 def derive_flips(
-    state: BiphotonPureState | ProductState,
+    state: PairState,
     bases: tuple[float, float] = (RECTILINEAR_DEG, DIAGONAL_DEG),
 ) -> tuple[bool, bool]:
     """Calibrate the per-basis flips from the sign of the correlation.
@@ -139,7 +133,7 @@ def derive_flips(
 
 
 def run_bbm92(
-    state: BiphotonPureState | ProductState,
+    state: PairState,
     config: ProtocolConfig,
     channel_id: int = 0,
     lambda_signal: float = math.nan,
@@ -167,11 +161,12 @@ def run_bbm92(
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(channel_id)]))
     # Cell weights p[basis_s, basis_i, outcome], outcome 0 = tt, 1 = tr, 2 = rt, 3 = rr.
-    p = np.array([
-        joint_outcome_distribution(state, MeasurementSetting(angle_s, angle_i)).as_tuple()
-        for angle_s in config.bases
-        for angle_i in config.bases
-    ])
+    bases = np.asarray(config.bases)
+    p = coincidence_probabilities(
+        state,
+        bases[:, None, None] + np.array([0.0, 0.0, 90.0, 90.0]),
+        bases[None, :, None] + np.array([0.0, 90.0, 0.0, 90.0]),
+    )
     counts = rng.multinomial(config.n_pairs, (p / p.sum()).ravel()).reshape(2, 2, 4).tolist()
 
     def qber(basis: int, flip: bool) -> float:

@@ -85,6 +85,9 @@ class SpectralProfile:
     peak: float
 
     def __post_init__(self) -> None:
+        for name in ("center", "width", "peak"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"profile {name} must be finite, got {getattr(self, name)}")
         if self.width <= 0.0:
             raise ValueError(f"profile width must be > 0, got {self.width}")
         if self.peak < 0.0:
@@ -214,6 +217,9 @@ class TabulatedSpectrum:
             raise ValueError("tabulated spectrum needs at least two rows")
         if lam.shape != hv.shape or lam.shape != vh.shape:
             raise ValueError("tabulated spectrum columns differ in length")
+        for name, column in (("lambda_nm", lam), ("rate_hv", hv), ("rate_vh", vh)):
+            if not np.isfinite(column).all():
+                raise ValueError(f"tabulated {name} values must be finite")
         order = np.argsort(lam)
         lam = lam[order]
         if np.any(np.diff(lam) <= 0.0):

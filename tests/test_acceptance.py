@@ -132,15 +132,14 @@ def test_acceptance_06_chsh():
     _, s_product = chsh_optimize(ProductState())
     assert s_product <= 2.0 + 1e-6
 
-    # brute-force oracle on a 1-degree grid: the factorized correlation
-    # E = sin(2a) sin(2b) never exceeds the classical bound
+    # exact oracle over every quadruple of a 1-degree grid: the factorized
+    # correlation E = sin(2a) sin(2b) never exceeds the classical bound.
+    # S = e_b (e_a + e_a') + e_b' (e_a' - e_a) is linear in e_b and e_b', so
+    # for each (a, a') they are maximized at the grid's extreme e values
+    # (test_correlation checks this form against brute force).
     e = np.sin(2.0 * np.radians(np.arange(0.0, 180.0, 1.0)))
-    diff = e[:, None] - e[None, :]
-    summ = e[:, None] + e[None, :]
-    best = -np.inf
-    for ea in e:
-        block = ea * diff[None, :, :] + e[:, None, None] * summ[None, :, :]
-        best = max(best, float(block.max()))
+    best_b = lambda c: np.maximum(c * e.max(), c * e.min())
+    best = float((best_b(e[:, None] + e[None, :]) + best_b(e[None, :] - e[:, None])).max())
     assert best <= 2.0 + 1e-6
 
 

@@ -17,7 +17,7 @@ from wdmqkd import (
     ProductState,
     chsh_optimize,
     chsh_value,
-    coincidence_probability,
+    coincidence_probabilities,
     correlation_E,
     estimate_f,
     find_theta_max,
@@ -30,10 +30,30 @@ GRID = np.arange(0.0, 180.0, 0.01)
 
 
 def grid_theta_max(state, theta_s):
-    rates = np.array(
-        [coincidence_probability(state, MeasurementSetting(theta_s, t)) for t in GRID]
-    )
+    rates = coincidence_probabilities(state, theta_s, GRID)
     return GRID[int(np.argmax(rates))], rates.max(), rates.min()
+
+
+def separable_chsh_max(e):
+    """Exact max of S over a grid when E(a, b) = e_a e_b.
+
+    S = e_b (e_a + e_a') + e_b' (e_a' - e_a), so b and b' are maximized
+    separately for each (a, a'); a linear function of e_b peaks at the
+    largest or smallest e_b.
+    """
+    x = e[:, None] + e[None, :]
+    y = e[None, :] - e[:, None]
+    best = lambda c: np.maximum(c * e.max(), c * e.min())
+    return float((best(x) + best(y)).max())
+
+
+def brute_force_chsh_max(e):
+    """Max of S = e_a (e_b - e_b') + e_a' (e_b + e_b') over every grid quadruple."""
+    diff = e[:, None] - e[None, :]
+    summ = e[:, None] + e[None, :]
+    return max(
+        float((ea * diff[None, :, :] + e[:, None, None] * summ[None, :, :]).max()) for ea in e
+    )
 
 
 def test_theta_max_matches_grid_argmax_random_states():
@@ -141,6 +161,12 @@ def test_product_state_maximizer_is_45_everywhere():
     assert res.visibility == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta_s", [0.0, 45.0, 90.0, 135.0, 17.3, 1e6])
+def test_product_state_peak_is_exactly_45(theta_s):
+    # 135 is the degenerate (vanishing) scan; its peak comes from the singles fringe
+    assert find_theta_max(ProductState(), theta_s).theta_max == 45.0
+
+
 def test_maximizer_label_swap_symmetry():
     rng = np.random.default_rng(24)
     for _ in range(50):
@@ -235,18 +261,19 @@ def test_chsh_product_state_classical_bound():
     settings, s = chsh_optimize(ProductState())
     assert s <= 2.0 + 1e-9
     assert s == pytest.approx(2.0, abs=1e-6)
-    # brute-force confirmation on a 1 degree grid; E factorizes as sin2a sin2b,
-    # so S = sin2a (sin2b - sin2b') + sin2a' (sin2b + sin2b'). Chunk over a to
-    # keep memory flat.
-    e = np.sin(2.0 * np.radians(np.arange(0.0, 180.0, 1.0)))
-    diff = e[:, None] - e[None, :]
-    summ = e[:, None] + e[None, :]
-    best = -np.inf
-    for ea in e:
-        block = ea * diff[None, :, :] + e[:, None, None] * summ[None, :, :]
-        best = max(best, float(block.max()))
+    # exact maximum over every quadruple of a 1 degree grid; E factorizes as
+    # sin2a sin2b, so S = sin2a (sin2b - sin2b') + sin2a' (sin2b + sin2b')
+    best = separable_chsh_max(np.sin(2.0 * np.radians(np.arange(0.0, 180.0, 1.0))))
     assert best <= 2.0 + 1e-9
     assert best == pytest.approx(2.0, abs=1e-9)
+
+
+def test_separable_chsh_max_equals_brute_force():
+    e = np.sin(2.0 * np.radians(np.arange(0.0, 180.0, 5.0)))
+    assert separable_chsh_max(e) == brute_force_chsh_max(e)
+    # factors with no special values; the two sums round differently
+    e = np.random.default_rng(29).uniform(-1.0, 1.0, size=36)
+    assert separable_chsh_max(e) == pytest.approx(brute_force_chsh_max(e), abs=1e-12)
 
 
 def test_correlation_product_form_consistency():

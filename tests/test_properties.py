@@ -1,12 +1,22 @@
-"""Property tests: angle normalization range and fit permutation invariance."""
+"""Property tests: angle normalization, fit permutation invariance, extreme f."""
+
+import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wdmqkd import fit_sinusoid
-from wdmqkd.biphoton import normalize_angle_deg
+from wdmqkd import (
+    BiphotonPureState,
+    chsh_optimize,
+    coincidence_probability,
+    find_theta_max,
+    fit_sinusoid,
+    joint_outcome_distribution,
+)
+from wdmqkd.biphoton import MeasurementSetting, normalize_angle_deg
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -39,3 +49,56 @@ def test_fit_invariant_under_angle_permutation(c, v, theta0, order):
     assert permuted.c == pytest.approx(fit.c, rel=1e-9)
     assert permuted.v == pytest.approx(fit.v, rel=1e-9)
     assert (permuted.theta0 - fit.theta0 + 90.0) % 180.0 - 90.0 == pytest.approx(0.0, abs=1e-9)
+
+
+# f over its whole legal range: 0 and every positive double up to the largest
+F_ANY = st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=sys.float_info.max))
+ALPHA_ANY = st.floats(allow_nan=False, allow_infinity=False)
+ANGLE_ANY = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+# f^2 overflowed the old normalization from f ~ 1.3e154 on
+LARGE_F = (1e160, 1e300, sys.float_info.max)
+
+
+@DETERMINISTIC
+@given(f=F_ANY, alpha=ALPHA_ANY, theta_s=ANGLE_ANY, theta_i=ANGLE_ANY)
+@example(f=1e160, alpha=0.0, theta_s=45.0, theta_i=45.0)
+@example(f=1e300, alpha=1.0, theta_s=10.0, theta_i=20.0)
+@example(f=sys.float_info.max, alpha=3.0, theta_s=45.0, theta_i=135.0)
+def test_probabilities_bounded_and_normalized_at_any_f(f, alpha, theta_s, theta_i):
+    state = BiphotonPureState(f, alpha)
+    setting = MeasurementSetting(theta_s, theta_i)
+    assert 0.0 <= coincidence_probability(state, setting) <= 1.0
+    dist = joint_outcome_distribution(state, setting)
+    assert sum(dist.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+
+
+@DETERMINISTIC
+@given(f=F_ANY, alpha=ALPHA_ANY, theta_s=ANGLE_ANY)
+@example(f=1e160, alpha=0.0, theta_s=30.0)
+@example(f=1e300, alpha=0.0, theta_s=0.0)
+@example(f=sys.float_info.max, alpha=2.0, theta_s=90.0)
+def test_theta_max_finite_at_any_f(f, alpha, theta_s):
+    res = find_theta_max(BiphotonPureState(f, alpha), theta_s)
+    assert all(math.isfinite(x) for x in (res.theta_max, res.r_max, res.r_min, res.visibility))
+    assert 0.0 <= res.theta_max < 180.0
+
+
+@DETERMINISTIC
+@given(f=F_ANY, alpha=ALPHA_ANY)
+@example(f=1e160, alpha=0.0)
+@example(f=1e300, alpha=0.5)
+@example(f=sys.float_info.max, alpha=0.0)
+def test_chsh_bounded_at_any_f(f, alpha):
+    _, s = chsh_optimize(BiphotonPureState(f, alpha))
+    assert 0.0 <= s <= 2.0 * math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("f", LARGE_F)
+def test_large_f_values_match_the_f_to_infinity_limit(f):
+    # f -> inf leaves the |V>_s|H>_i term alone: p = cos^2(theta_s) sin^2(theta_i)
+    state = BiphotonPureState(f, 0.0)
+    assert coincidence_probability(state, MeasurementSetting(45.0, 45.0)) == pytest.approx(0.25, abs=1e-15)
+    res = find_theta_max(state, 30.0)
+    assert (res.theta_max, res.r_max, res.visibility) == pytest.approx((90.0, 0.75, 1.0), abs=1e-12)
+    assert not res.degenerate
+    assert chsh_optimize(state)[1] == pytest.approx(2.0, abs=1e-12)

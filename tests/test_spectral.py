@@ -74,6 +74,16 @@ def test_profile_gaussian_shape():
     assert prof.rate(866.0) == pytest.approx(50.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("center", math.nan), ("width", math.inf), ("width", math.nan), ("peak", math.inf)],
+)
+def test_profile_rejects_non_finite_field(field, value):
+    fields = {"center": 870.0, "width": 8.0, "peak": 100.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        SpectralProfile(**fields)
+
+
 def test_build_channels_default_grid():
     hv, vh = default_profiles()
     channels = build_channels(hv, vh, alpha=0.0)
@@ -182,6 +192,17 @@ def test_tabulated_spectrum_rejects_bad_input(tmp_path):
     negative.write_text("lambda_nm,rate_hv,rate_vh\n866.0,-1.0,1.0\n870.0,1.0,1.0\n")
     with pytest.raises(ValueError):
         TabulatedSpectrum.from_csv(negative)
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("lambda_nm", math.nan), ("rate_hv", math.nan), ("rate_hv", math.inf), ("rate_vh", math.inf)],
+)
+def test_tabulated_spectrum_rejects_non_finite_value(column, value):
+    columns = {"lambda_nm": [866.0, 870.0], "rate_hv": [1.0, 2.0], "rate_vh": [2.0, 1.0]}
+    columns[column][0] = value
+    with pytest.raises(ValueError, match=column):
+        TabulatedSpectrum(columns["lambda_nm"], columns["rate_hv"], columns["rate_vh"])
 
 
 def test_build_channels_from_table(tmp_path):
