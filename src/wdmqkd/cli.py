@@ -10,8 +10,9 @@ Subcommands:
 Every command takes --config/--seed/--out/--period, writes its outputs plus a
 resolved-config echo into the output directory, and is byte-deterministic
 under a fixed seed.  Exit status is 0 on success (degenerate scans are
-flagged in the summaries, not errors), 2 for configuration problems and 1
-for I/O failures.
+flagged in the summaries, not errors), 2 for a configuration problem or any
+other rejected value (e.g. qkd on a channel with zero rate in both bands),
+and 1 for I/O failures.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .correlation import estimate_f, shift_table
 from .detection import simulate_scan, scan_to_csv
 from .qkd import report_to_dict, reports_to_csv, run_bbm92, wdm_aggregate
 from .scanfit import fit_result_to_dict, fit_scan, scan_metrics
-from .spectral import channel_state
+from .spectral import SpectralChannel, channel_state
 
 __all__ = [
     "main",
@@ -70,8 +71,15 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_echo(cfg: RunConfig, out: Path) -> None:
-    _write_json(out / "config_echo.json", config_to_dict(cfg))
+def _out_dir(cfg: RunConfig, out_dir: Path | None = None) -> Path:
+    return Path(cfg.out_dir if out_dir is None else out_dir)
+
+
+def _channel_state(cfg: RunConfig, channel: SpectralChannel) -> PairState:
+    """The state a channel emits: the product baseline or its entangled state."""
+    if cfg.source.kind == "product":
+        return ProductState()
+    return channel_state(channel, cfg.source.f_convention)
 
 
 def _angle_label(theta: float) -> str:
@@ -92,7 +100,7 @@ def cmd_theory_scan(
     summary with peak positions, shifts against theta_s = 0, visibilities
     and degeneracy flags.
     """
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out = _out_dir(cfg, out_dir)
     if product or (f is None and cfg.source.kind == "product"):
         state: PairState = ProductState()
         described = {"kind": "product"}
@@ -132,16 +140,12 @@ def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     channel whose ratio is infinite under the configured convention) are
     recorded per row and do not abort the run.
     """
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out = _out_dir(cfg, out_dir)
     channels = source_channels(cfg.source)
     rows = []
     for k, channel in enumerate(channels):
         try:
-            state = (
-                ProductState()
-                if cfg.source.kind == "product"
-                else channel_state(channel, cfg.source.f_convention)
-            )
+            state = _channel_state(cfg, channel)
         except ValueError as exc:
             rows.append({"channel": k, "lambda_signal_nm": channel.lambda_signal, "error": str(exc)})
             continue
@@ -178,7 +182,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
 
     A dark channel (both rates zero) has no ratio; its readings are NaN.
     """
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out = _out_dir(cfg, out_dir)
     lines = ["lambda_signal_nm,lambda_idler_nm,rate_hv,rate_vh,f_hat,f_hat_inv"]
     rows = []
     for channel in source_channels(cfg.source):
@@ -207,15 +211,11 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
 
 def cmd_qkd(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     """Run the key exchange on every channel and write reports plus totals."""
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out = _out_dir(cfg, out_dir)
     channels = source_channels(cfg.source)
     reports = []
     for k, channel in enumerate(channels):
-        state = (
-            ProductState()
-            if cfg.source.kind == "product"
-            else channel_state(channel, cfg.source.f_convention)
-        )
+        state = _channel_state(cfg, channel)
         reports.append(
             run_bbm92(state, cfg.qkd, channel_id=k, lambda_signal=channel.lambda_signal)
         )
@@ -238,7 +238,7 @@ def cmd_reproduce_figures(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     (1, 0), (1, 180), (1, 60), (1.73, 0) at signal angles 0/45/90/135 and
     collects the peak shifts into one summary.
     """
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out = _out_dir(cfg, out_dir)
     collected = {}
     for name, f, alpha_deg in FIGURE_SETS:
         summary = cmd_theory_scan(
@@ -276,35 +276,47 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _theory_scan(cfg: RunConfig, args: argparse.Namespace) -> None:
+    cmd_theory_scan(
+        cfg,
+        f=args.f,
+        alpha_deg=args.alpha_deg,
+        theta_s_list=_parse_theta_list(args.theta_s),
+        product=args.product,
+    )
+
+
+# Subcommand name -> (help, run(cfg, args)).
+COMMANDS = {
+    "theory-scan": ("analytic scan curves and peak shifts", _theory_scan),
+    "simulate-fit": (
+        "Monte Carlo scans and fringe fits per channel",
+        lambda cfg, args: cmd_simulate_and_fit(cfg),
+    ),
+    "spectrum": ("per-channel wavelength and rate table", lambda cfg, args: cmd_spectrum(cfg)),
+    "qkd": ("per-channel key exchange and totals", lambda cfg, args: cmd_qkd(cfg)),
+    "reproduce-figures": (
+        "theory scans for the four standard parameter sets",
+        lambda cfg, args: cmd_reproduce_figures(cfg),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wdmqkd",
         description="Pair-source polarization correlations, scan fits and per-channel key rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_theory = sub.add_parser("theory-scan", help="analytic scan curves and peak shifts")
-    _add_common_options(p_theory)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_common_options(sub.add_parser(name, help=help_text))
+    p_theory = sub.choices["theory-scan"]
     p_theory.add_argument("--f", type=float, default=None, help="amplitude ratio (default 1)")
     p_theory.add_argument("--alpha-deg", type=float, default=None, help="relative phase, degrees")
     p_theory.add_argument(
         "--theta-s", default="0,45,135", help="comma-separated fixed signal angles, degrees"
     )
     p_theory.add_argument("--product", action="store_true", help="use the +45 product state")
-
-    p_sim = sub.add_parser("simulate-fit", help="Monte Carlo scans and fringe fits per channel")
-    _add_common_options(p_sim)
-
-    p_spec = sub.add_parser("spectrum", help="per-channel wavelength and rate table")
-    _add_common_options(p_spec)
-
-    p_qkd = sub.add_parser("qkd", help="per-channel key exchange and totals")
-    _add_common_options(p_qkd)
-
-    p_fig = sub.add_parser(
-        "reproduce-figures", help="theory scans for the four standard parameter sets"
-    )
-    _add_common_options(p_fig)
     return parser
 
 
@@ -330,24 +342,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        out = Path(cfg.out_dir)
-        if args.command == "theory-scan":
-            cmd_theory_scan(
-                cfg,
-                f=args.f,
-                alpha_deg=args.alpha_deg,
-                theta_s_list=_parse_theta_list(args.theta_s),
-                product=args.product,
-            )
-        elif args.command == "simulate-fit":
-            cmd_simulate_and_fit(cfg)
-        elif args.command == "spectrum":
-            cmd_spectrum(cfg)
-        elif args.command == "qkd":
-            cmd_qkd(cfg)
-        elif args.command == "reproduce-figures":
-            cmd_reproduce_figures(cfg)
-        _write_echo(cfg, out)
+        COMMANDS[args.command][1](cfg, args)
+        _write_json(_out_dir(cfg) / "config_echo.json", config_to_dict(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,16 +6,20 @@ filled in; unknown or duplicate keys are rejected with their dotted path so
 typos fail loudly instead of silently running defaults.  Angles and
 wavelengths in the file are degrees and nanometers.
 
-The fully resolved configuration can be dumped back to the same schema
-(``config_to_dict``); commands write that echo next to their outputs, and
-loading the echo reproduces the RunConfig exactly.
+Each section is one key table: file key -> (attribute, type).  The reader
+uses it to reject unknown keys and read each value typed and finite-checked,
+a missing key keeping the attribute of the section's default object
+(``SourceConfig()``, ``DetectionConfig()``, ``ProtocolConfig()``); range
+checks stay hand-written.  The writer uses it for the echo: commands write
+``config_to_dict`` next to their outputs, and loading that echo reproduces
+the RunConfig exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .detection import DetectionConfig
@@ -24,6 +28,7 @@ from .spectral import (
     DEFAULT_CHANNEL_COUNT,
     DEFAULT_CHANNEL_RANGE_NM,
     DEFAULT_PUMP_NM,
+    MAX_CHANNELS,
     RATIO_CONVENTIONS,
     PumpConfig,
     SpectralChannel,
@@ -96,7 +101,44 @@ class RunConfig:
     qkd: ProtocolConfig = ProtocolConfig()
 
 
-def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
+# Key tables, one per section: file key -> (attribute, type), or just the
+# type when the attribute has the key's name.  A table as the type is a
+# nested section; str | None is a path or null.
+_PROFILE_KEYS = {
+    "center_nm": ("center", float),
+    "fwhm_nm": ("width", float),
+    "peak_cps": ("peak", float),
+}
+_SOURCE_KEYS = {
+    "kind": str,
+    "pump_nm": float,
+    "alpha_deg": float,
+    "f_convention": str,
+    "lambda_min_nm": float,
+    "lambda_max_nm": float,
+    "n_channels": int,
+    "hv_profile": _PROFILE_KEYS,
+    "vh_profile": _PROFILE_KEYS,
+    "spectrum_csv": str | None,
+}
+_DETECTION_KEYS = {
+    "pair_rate_cps": ("pair_rate", float),
+    "efficiency_signal": float,
+    "efficiency_idler": float,
+    "accidental_rate_cps": ("accidental_rate", float),
+    "integration_time_s": ("integration_time", float),
+}
+_FIT_KEYS = {"period_deg": ("fit_period", float)}  # an attribute of RunConfig
+_QKD_KEYS = {"n_pairs": int, "flip_rectilinear": bool, "flip_diagonal": bool}
+
+
+def _rows(keys: dict):
+    """(file key, attribute, type) of each row of a key table."""
+    for key, row in keys.items():
+        yield (key, *row) if isinstance(row, tuple) else (key, key, row)
+
+
+def _reject_unknown(section: dict, allowed, path: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(
@@ -106,58 +148,58 @@ def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
 
 def _get(section: dict, key: str, default, kind, path: str):
     value = section.get(key, default)
-    if isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"key '{path}{key}' must be of type {kind.__name__}, got {value!r}")
-    if kind is float and isinstance(value, int):
+    if kind == str | None:
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"key '{path}{key}' must be a path string or null, got {value!r}")
+        return value
+    is_bool = isinstance(value, bool)  # bool subclasses int, but is never a number here
+    if kind is float and isinstance(value, int) and not is_bool:
         value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"key '{path}{key}' must be of type {kind.__name__}, got {value!r}"
-        )
+    if not isinstance(value, kind) or (is_bool and kind is not bool):
+        raise ConfigError(f"key '{path}{key}' must be of type {kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"key '{path}{key}' must be finite, got {value}")
     return value
 
 
-def _parse_profile(section: dict, path: str, default: SpectralProfile) -> SpectralProfile:
-    _reject_unknown(section, ("center_nm", "fwhm_nm", "peak_cps"), path)
+def _read(section: dict, keys: dict, default, path: str) -> dict:
+    """Attribute -> value of every row; a missing key keeps default's value."""
+    values = {}
+    for key, attr, kind in _rows(keys):
+        if isinstance(kind, dict):  # a nested section
+            nested = _get(section, key, {}, dict, path)
+            values[attr] = _section(nested, kind, getattr(default, attr), f"{path}{key}.")
+        else:
+            values[attr] = _get(section, key, getattr(default, attr), kind, path)
+    return values
+
+
+def _section(section: dict, keys: dict, default, path: str):
+    """default with the section read over it; its class validates the values.
+
+    Any error but an unknown key is prefixed with the section's name.
+    """
+    _reject_unknown(section, keys, path)
     try:
-        return SpectralProfile(
-            center=_get(section, "center_nm", default.center, float, path),
-            width=_get(section, "fwhm_nm", default.width, float, path),
-            peak=_get(section, "peak_cps", default.peak, float, path),
-        )
+        return replace(default, **_read(section, keys, default, path))
     except ValueError as exc:
         raise ConfigError(f"section '{path.rstrip('.')}': {exc}") from None
 
 
 def _parse_source(section: dict, path: str = "source.") -> SourceConfig:
-    allowed = (
-        "kind",
-        "pump_nm",
-        "alpha_deg",
-        "f_convention",
-        "lambda_min_nm",
-        "lambda_max_nm",
-        "n_channels",
-        "hv_profile",
-        "vh_profile",
-        "spectrum_csv",
-    )
-    _reject_unknown(section, allowed, path)
-    kind = _get(section, "kind", "entangled", str, path)
+    _reject_unknown(section, _SOURCE_KEYS, path)
+    values = _read(section, _SOURCE_KEYS, SourceConfig(), path)
+    kind, convention = values["kind"], values["f_convention"]
     if kind not in SOURCE_KINDS:
         raise ConfigError(f"key '{path}kind' must be one of {SOURCE_KINDS}, got {kind!r}")
-    convention = _get(section, "f_convention", "ratio_as_f", str, path)
     if convention not in RATIO_CONVENTIONS:
         raise ConfigError(
             f"key '{path}f_convention' must be one of {RATIO_CONVENTIONS}, got {convention!r}"
         )
-    pump_nm = _get(section, "pump_nm", DEFAULT_PUMP_NM, float, path)
+    pump_nm = values["pump_nm"]
     if pump_nm <= 0.0:
         raise ConfigError(f"key '{path}pump_nm' must be > 0, got {pump_nm}")
-    lo = _get(section, "lambda_min_nm", DEFAULT_CHANNEL_RANGE_NM[0], float, path)
-    hi = _get(section, "lambda_max_nm", DEFAULT_CHANNEL_RANGE_NM[1], float, path)
+    lo, hi = values["lambda_min_nm"], values["lambda_max_nm"]
     if not lo <= hi:
         raise ConfigError(
             f"key '{path}lambda_min_nm' ({lo}) must not exceed '{path}lambda_max_nm' ({hi})"
@@ -166,75 +208,30 @@ def _parse_source(section: dict, path: str = "source.") -> SourceConfig:
         raise ConfigError(
             f"key '{path}lambda_min_nm' ({lo}) must exceed the pump wavelength ({pump_nm})"
         )
-    n_channels = _get(section, "n_channels", DEFAULT_CHANNEL_COUNT, int, path)
+    n_channels = values["n_channels"]
     if n_channels < 1:
         raise ConfigError(f"key '{path}n_channels' must be >= 1, got {n_channels}")
-    spectrum_csv = section.get("spectrum_csv", None)
-    if spectrum_csv is not None and not isinstance(spectrum_csv, str):
-        raise ConfigError(
-            f"key '{path}spectrum_csv' must be a path string or null, got {spectrum_csv!r}"
-        )
-    hv_default, vh_default = default_profiles()
-    hv = _parse_profile(_get(section, "hv_profile", {}, dict, path), path + "hv_profile.", hv_default)
-    vh = _parse_profile(_get(section, "vh_profile", {}, dict, path), path + "vh_profile.", vh_default)
-    return SourceConfig(
-        kind=kind,
-        pump_nm=pump_nm,
-        alpha_deg=_get(section, "alpha_deg", 0.0, float, path),
-        f_convention=convention,
-        lambda_min_nm=lo,
-        lambda_max_nm=hi,
-        n_channels=n_channels,
-        hv_profile=hv,
-        vh_profile=vh,
-        spectrum_csv=spectrum_csv,
-    )
-
-
-def _parse_detection(section: dict, seed: int, path: str = "detection.") -> DetectionConfig:
-    allowed = (
-        "pair_rate_cps",
-        "efficiency_signal",
-        "efficiency_idler",
-        "accidental_rate_cps",
-        "integration_time_s",
-    )
-    _reject_unknown(section, allowed, path)
-    try:
-        return DetectionConfig(
-            pair_rate=_get(section, "pair_rate_cps", 2000.0, float, path),
-            efficiency_signal=_get(section, "efficiency_signal", 1.0, float, path),
-            efficiency_idler=_get(section, "efficiency_idler", 1.0, float, path),
-            accidental_rate=_get(section, "accidental_rate_cps", 0.0, float, path),
-            integration_time=_get(section, "integration_time_s", 1.0, float, path),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"section 'detection': {exc}") from None
+    if n_channels > MAX_CHANNELS:
+        raise ConfigError(f"key '{path}n_channels' must be <= {MAX_CHANNELS}, got {n_channels}")
+    return SourceConfig(**values)
 
 
 def _parse_qkd(section: dict, seed: int, path: str = "qkd.") -> ProtocolConfig:
-    allowed = ("n_pairs", "flip_rectilinear", "flip_diagonal")
-    _reject_unknown(section, allowed, path)
-    n_pairs = _get(section, "n_pairs", 100_000, int, path)
+    default = ProtocolConfig(seed=seed)
+    # n_pairs is range-checked ahead of ProtocolConfig, whose own message
+    # would not name the key; unknown keys are still reported first.
+    _reject_unknown(section, _QKD_KEYS, path)
+    n_pairs = _get(section, "n_pairs", default.n_pairs, int, path)
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ConfigError(
             f"section 'qkd': key '{path}n_pairs' must be in [1, 2**63 - 1], got {n_pairs}"
         )
-    try:
-        return ProtocolConfig(
-            n_pairs=n_pairs,
-            flip_rectilinear=_get(section, "flip_rectilinear", True, bool, path),
-            flip_diagonal=_get(section, "flip_diagonal", False, bool, path),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"section 'qkd': {exc}") from None
+    return _section(section, _QKD_KEYS, default, path)
 
 
 def _parse_fit(section: dict, path: str = "fit.") -> float:
-    _reject_unknown(section, ("period_deg",), path)
-    period = _get(section, "period_deg", 180.0, float, path)
+    _reject_unknown(section, _FIT_KEYS, path)
+    period = _read(section, _FIT_KEYS, RunConfig(), path)["fit_period"]
     if period not in (180.0, 360.0):
         raise ConfigError(f"key '{path}period_deg' must be 180 or 360, got {period}")
     return period
@@ -245,17 +242,18 @@ def _build_run_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
     allowed = ("seed", "out_dir", "source", "detection", "fit", "qkd")
     _reject_unknown(raw, allowed, "")
-    seed = _get(raw, "seed", 0, int, "")
+    default = RunConfig()
+    seed = _get(raw, "seed", default.seed, int, "")
     if seed < 0:
         raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
-    out_dir = _get(raw, "out_dir", "out", str, "")
+    section = lambda key: _get(raw, key, {}, dict, "")
     return RunConfig(
         seed=seed,
-        out_dir=out_dir,
-        source=_parse_source(_get(raw, "source", {}, dict, "")),
-        detection=_parse_detection(_get(raw, "detection", {}, dict, ""), seed),
-        fit_period=_parse_fit(_get(raw, "fit", {}, dict, "")),
-        qkd=_parse_qkd(_get(raw, "qkd", {}, dict, ""), seed),
+        out_dir=_get(raw, "out_dir", default.out_dir, str, ""),
+        source=_parse_source(section("source")),
+        detection=_section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection."),
+        fit_period=_parse_fit(section("fit")),
+        qkd=_parse_qkd(section("qkd"), seed),
     )
 
 
@@ -294,59 +292,33 @@ def default_run_config(seed: int = 0, out_dir: str = "out") -> RunConfig:
     return _build_run_config({"seed": seed, "out_dir": out_dir})
 
 
+def _echo(obj, keys: dict) -> dict:
+    return {
+        key: _echo(getattr(obj, attr), kind) if isinstance(kind, dict) else getattr(obj, attr)
+        for key, attr, kind in _rows(keys)
+    }
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """Resolved configuration in the file schema (the echo written by commands)."""
     return {
         "seed": cfg.seed,
         "out_dir": cfg.out_dir,
-        "source": {
-            "kind": cfg.source.kind,
-            "pump_nm": cfg.source.pump_nm,
-            "alpha_deg": cfg.source.alpha_deg,
-            "f_convention": cfg.source.f_convention,
-            "lambda_min_nm": cfg.source.lambda_min_nm,
-            "lambda_max_nm": cfg.source.lambda_max_nm,
-            "n_channels": cfg.source.n_channels,
-            "hv_profile": {
-                "center_nm": cfg.source.hv_profile.center,
-                "fwhm_nm": cfg.source.hv_profile.width,
-                "peak_cps": cfg.source.hv_profile.peak,
-            },
-            "vh_profile": {
-                "center_nm": cfg.source.vh_profile.center,
-                "fwhm_nm": cfg.source.vh_profile.width,
-                "peak_cps": cfg.source.vh_profile.peak,
-            },
-            "spectrum_csv": cfg.source.spectrum_csv,
-        },
-        "detection": {
-            "pair_rate_cps": cfg.detection.pair_rate,
-            "efficiency_signal": cfg.detection.efficiency_signal,
-            "efficiency_idler": cfg.detection.efficiency_idler,
-            "accidental_rate_cps": cfg.detection.accidental_rate,
-            "integration_time_s": cfg.detection.integration_time,
-        },
-        "fit": {"period_deg": cfg.fit_period},
-        "qkd": {
-            "n_pairs": cfg.qkd.n_pairs,
-            "flip_rectilinear": cfg.qkd.flip_rectilinear,
-            "flip_diagonal": cfg.qkd.flip_diagonal,
-        },
+        "source": _echo(cfg.source, _SOURCE_KEYS),
+        "detection": _echo(cfg.detection, _DETECTION_KEYS),
+        "fit": _echo(cfg, _FIT_KEYS),
+        "qkd": _echo(cfg.qkd, _QKD_KEYS),
     }
 
 
 def source_channels(source: SourceConfig) -> tuple[SpectralChannel, ...]:
     """Build the channel table a source section describes."""
-    pump = PumpConfig(source.pump_nm)
-    alpha = math.radians(source.alpha_deg)
-    lam_range = (source.lambda_min_nm, source.lambda_max_nm)
-    if source.spectrum_csv is not None:
-        table = TabulatedSpectrum.from_csv(source.spectrum_csv)
-        return build_channels_from_table(
-            table, alpha=alpha, lambda_range=lam_range,
-            n_channels=source.n_channels, pump=pump,
-        )
-    return build_channels(
-        source.hv_profile, source.vh_profile, alpha=alpha,
-        lambda_range=lam_range, n_channels=source.n_channels, pump=pump,
+    grid = dict(
+        alpha=math.radians(source.alpha_deg),
+        lambda_range=(source.lambda_min_nm, source.lambda_max_nm),
+        n_channels=source.n_channels,
+        pump=PumpConfig(source.pump_nm),
     )
+    if source.spectrum_csv is not None:
+        return build_channels_from_table(TabulatedSpectrum.from_csv(source.spectrum_csv), **grid)
+    return build_channels(source.hv_profile, source.vh_profile, **grid)

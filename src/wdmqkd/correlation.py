@@ -126,7 +126,12 @@ def scan_coefficients(state: PairState, theta_s: float) -> tuple[float, float, f
     Returns:
         (mean, amp_cos, amp_sin) such that the coincidence probability is
         mean + amp_cos * cos(2 theta_i) + amp_sin * sin(2 theta_i).
+
+    Raises:
+        ValueError: If theta_s is NaN or infinite.
     """
+    if not math.isfinite(theta_s):
+        raise ValueError(f"theta_s must be finite, got {theta_s}")
     ts = math.radians(normalize_angle_deg(theta_s))
     u = np.array([math.sin(ts), math.cos(ts)])
     rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']

@@ -46,6 +46,12 @@ RATIO_CONVENTIONS = ("ratio_as_f", "ratio_as_inverse_f")
 DEFAULT_CHANNEL_RANGE_NM = (860.0, 874.0)
 DEFAULT_CHANNEL_COUNT = 8
 
+# Largest channel count a table is built for.  Every channel is a Python
+# object, and the commands write up to eight files for each one, so a count
+# this large is already a mistake; 1e5 channels over the default 14 nm span
+# are 0.14 pm apart, far finer than any filter that could separate them.
+MAX_CHANNELS = 100_000
+
 _DEFAULT_FWHM_NM = 8.0
 _BALANCED_NM = 870.0  # rates equal here
 _TRIPLE_RATIO_NM = 866.0  # rate_HV / rate_VH = 3 here
@@ -160,13 +166,19 @@ def default_profiles(peak: float = 1000.0) -> tuple[SpectralProfile, SpectralPro
     return hv, vh
 
 
-def _signal_grid(lambda_range: tuple[float, float], n_channels: int) -> np.ndarray:
+def _build(rates, alpha, lambda_range, n_channels, pump) -> tuple[SpectralChannel, ...]:
+    """Channels on the uniform grid, rates(lambda_nm) giving (rate_HV, rate_VH)."""
     lo, hi = lambda_range
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
+    if n_channels > MAX_CHANNELS:
+        raise ValueError(f"n_channels must be <= {MAX_CHANNELS}, got {n_channels}")
     if lo > hi:
         raise ValueError(f"invalid wavelength range ({lo}, {hi})")
-    return np.linspace(lo, hi, n_channels)
+    return tuple(
+        SpectralChannel(lam, idler_wavelength(lam, pump), *rates(lam), alpha)
+        for lam in np.linspace(lo, hi, n_channels).tolist()
+    )
 
 
 def build_channels(
@@ -185,20 +197,10 @@ def build_channels(
         alpha: Relative phase shared by all channels, radians.
         lambda_range: (min, max) signal wavelength in nm, both included.
             With n_channels = 1 the grid is the single point lambda_range[0].
-        n_channels: Number of channels, >= 1.
+        n_channels: Number of channels, in [1, MAX_CHANNELS].
         pump: Pump configuration for the idler pairing.
     """
-    grid = _signal_grid(lambda_range, n_channels)
-    return tuple(
-        SpectralChannel(
-            lambda_signal=float(ls),
-            lambda_idler=idler_wavelength(float(ls), pump),
-            rate_HV=hv.rate(float(ls)),
-            rate_VH=vh.rate(float(ls)),
-            alpha=alpha,
-        )
-        for ls in grid
-    )
+    return _build(lambda lam: (hv.rate(lam), vh.rate(lam)), alpha, lambda_range, n_channels, pump)
 
 
 class TabulatedSpectrum:
@@ -264,17 +266,7 @@ def build_channels_from_table(
     pump: PumpConfig = PumpConfig(),
 ) -> tuple[SpectralChannel, ...]:
     """Build channels on a uniform grid from a tabulated spectrum."""
-    grid = _signal_grid(lambda_range, n_channels)
-    return tuple(
-        SpectralChannel(
-            lambda_signal=float(ls),
-            lambda_idler=idler_wavelength(float(ls), pump),
-            rate_HV=table.rate_hv(float(ls)),
-            rate_VH=table.rate_vh(float(ls)),
-            alpha=alpha,
-        )
-        for ls in grid
-    )
+    return _build(lambda lam: (table.rate_hv(lam), table.rate_vh(lam)), alpha, lambda_range, n_channels, pump)
 
 
 def channel_state(

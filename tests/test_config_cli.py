@@ -1,10 +1,13 @@
 """Config parsing/validation and the command-line front end."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdmqkd import (
     ConfigError,
@@ -15,6 +18,9 @@ from wdmqkd import (
     source_channels,
 )
 from wdmqkd.cli import main
+from wdmqkd.correlation import signed_angle_difference
+from wdmqkd.qkd import MAX_PAIRS
+from wdmqkd.spectral import MAX_CHANNELS
 
 
 def test_defaults():
@@ -189,6 +195,191 @@ def test_load_config_from_file(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+# One input per key with a single fault (unknown key, wrong type, non-finite
+# or out-of-range value) and the exact message it is reported with.
+SINGLE_FAULT_MESSAGES = [
+    ('{"bogus": 1}', "unknown key 'bogus' (allowed: seed, out_dir, source, detection, fit, qkd)"),
+    ('{"source": {"bogus": 1}}', "unknown key 'source.bogus' (allowed: kind, pump_nm, alpha_deg, f_convention, lambda_min_nm, lambda_max_nm, n_channels, hv_profile, vh_profile, spectrum_csv)"),
+    ('{"source": {"hv_profile": {"bogus": 1}}}', "unknown key 'source.hv_profile.bogus' (allowed: center_nm, fwhm_nm, peak_cps)"),
+    ('{"source": {"vh_profile": {"bogus": 1}}}', "unknown key 'source.vh_profile.bogus' (allowed: center_nm, fwhm_nm, peak_cps)"),
+    ('{"detection": {"bogus": 1}}', "unknown key 'detection.bogus' (allowed: pair_rate_cps, efficiency_signal, efficiency_idler, accidental_rate_cps, integration_time_s)"),
+    ('{"fit": {"bogus": 1}}', "unknown key 'fit.bogus' (allowed: period_deg)"),
+    ('{"qkd": {"bogus": 1}}', "unknown key 'qkd.bogus' (allowed: n_pairs, flip_rectilinear, flip_diagonal)"),
+    ('{"seed": true}', "key 'seed' must be of type int, got True"),
+    ('{"out_dir": 5}', "key 'out_dir' must be of type str, got 5"),
+    ('{"source": 5}', "key 'source' must be of type dict, got 5"),
+    ('{"detection": 5}', "key 'detection' must be of type dict, got 5"),
+    ('{"fit": 5}', "key 'fit' must be of type dict, got 5"),
+    ('{"qkd": 5}', "key 'qkd' must be of type dict, got 5"),
+    ('{"source": {"pump_nm": "x"}}', "key 'source.pump_nm' must be of type float, got 'x'"),
+    ('{"source": {"pump_nm": NaN}}', "key 'source.pump_nm' must be finite, got nan"),
+    ('{"source": {"alpha_deg": "x"}}', "key 'source.alpha_deg' must be of type float, got 'x'"),
+    ('{"source": {"alpha_deg": NaN}}', "key 'source.alpha_deg' must be finite, got nan"),
+    ('{"source": {"lambda_min_nm": "x"}}', "key 'source.lambda_min_nm' must be of type float, got 'x'"),
+    ('{"source": {"lambda_min_nm": NaN}}', "key 'source.lambda_min_nm' must be finite, got nan"),
+    ('{"source": {"lambda_max_nm": "x"}}', "key 'source.lambda_max_nm' must be of type float, got 'x'"),
+    ('{"source": {"lambda_max_nm": NaN}}', "key 'source.lambda_max_nm' must be finite, got nan"),
+    ('{"detection": {"pair_rate_cps": "x"}}', "section 'detection': key 'detection.pair_rate_cps' must be of type float, got 'x'"),
+    ('{"detection": {"pair_rate_cps": NaN}}', "section 'detection': key 'detection.pair_rate_cps' must be finite, got nan"),
+    ('{"detection": {"efficiency_signal": "x"}}', "section 'detection': key 'detection.efficiency_signal' must be of type float, got 'x'"),
+    ('{"detection": {"efficiency_signal": NaN}}', "section 'detection': key 'detection.efficiency_signal' must be finite, got nan"),
+    ('{"detection": {"efficiency_idler": "x"}}', "section 'detection': key 'detection.efficiency_idler' must be of type float, got 'x'"),
+    ('{"detection": {"efficiency_idler": NaN}}', "section 'detection': key 'detection.efficiency_idler' must be finite, got nan"),
+    ('{"detection": {"accidental_rate_cps": "x"}}', "section 'detection': key 'detection.accidental_rate_cps' must be of type float, got 'x'"),
+    ('{"detection": {"accidental_rate_cps": NaN}}', "section 'detection': key 'detection.accidental_rate_cps' must be finite, got nan"),
+    ('{"detection": {"integration_time_s": "x"}}', "section 'detection': key 'detection.integration_time_s' must be of type float, got 'x'"),
+    ('{"detection": {"integration_time_s": NaN}}', "section 'detection': key 'detection.integration_time_s' must be finite, got nan"),
+    ('{"fit": {"period_deg": "x"}}', "key 'fit.period_deg' must be of type float, got 'x'"),
+    ('{"fit": {"period_deg": NaN}}', "key 'fit.period_deg' must be finite, got nan"),
+    ('{"source": {"hv_profile": 5}}', "key 'source.hv_profile' must be of type dict, got 5"),
+    ('{"source": {"hv_profile": {"center_nm": "x"}}}', "section 'source.hv_profile': key 'source.hv_profile.center_nm' must be of type float, got 'x'"),
+    ('{"source": {"hv_profile": {"center_nm": NaN}}}', "section 'source.hv_profile': key 'source.hv_profile.center_nm' must be finite, got nan"),
+    ('{"source": {"hv_profile": {"fwhm_nm": "x"}}}', "section 'source.hv_profile': key 'source.hv_profile.fwhm_nm' must be of type float, got 'x'"),
+    ('{"source": {"hv_profile": {"fwhm_nm": NaN}}}', "section 'source.hv_profile': key 'source.hv_profile.fwhm_nm' must be finite, got nan"),
+    ('{"source": {"hv_profile": {"peak_cps": "x"}}}', "section 'source.hv_profile': key 'source.hv_profile.peak_cps' must be of type float, got 'x'"),
+    ('{"source": {"hv_profile": {"peak_cps": NaN}}}', "section 'source.hv_profile': key 'source.hv_profile.peak_cps' must be finite, got nan"),
+    ('{"source": {"hv_profile": {"fwhm_nm": 0.0}}}', "section 'source.hv_profile': profile width must be > 0, got 0.0"),
+    ('{"source": {"hv_profile": {"peak_cps": -1.0}}}', "section 'source.hv_profile': profile peak must be >= 0, got -1.0"),
+    ('{"source": {"vh_profile": 5}}', "key 'source.vh_profile' must be of type dict, got 5"),
+    ('{"source": {"vh_profile": {"center_nm": "x"}}}', "section 'source.vh_profile': key 'source.vh_profile.center_nm' must be of type float, got 'x'"),
+    ('{"source": {"vh_profile": {"center_nm": NaN}}}', "section 'source.vh_profile': key 'source.vh_profile.center_nm' must be finite, got nan"),
+    ('{"source": {"vh_profile": {"fwhm_nm": "x"}}}', "section 'source.vh_profile': key 'source.vh_profile.fwhm_nm' must be of type float, got 'x'"),
+    ('{"source": {"vh_profile": {"fwhm_nm": NaN}}}', "section 'source.vh_profile': key 'source.vh_profile.fwhm_nm' must be finite, got nan"),
+    ('{"source": {"vh_profile": {"peak_cps": "x"}}}', "section 'source.vh_profile': key 'source.vh_profile.peak_cps' must be of type float, got 'x'"),
+    ('{"source": {"vh_profile": {"peak_cps": NaN}}}', "section 'source.vh_profile': key 'source.vh_profile.peak_cps' must be finite, got nan"),
+    ('{"source": {"vh_profile": {"fwhm_nm": 0.0}}}', "section 'source.vh_profile': profile width must be > 0, got 0.0"),
+    ('{"source": {"vh_profile": {"peak_cps": -1.0}}}', "section 'source.vh_profile': profile peak must be >= 0, got -1.0"),
+    ('{"source": {"kind": 5}}', "key 'source.kind' must be of type str, got 5"),
+    ('{"source": {"kind": "squeezed"}}', "key 'source.kind' must be one of ('entangled', 'product'), got 'squeezed'"),
+    ('{"source": {"f_convention": 5}}', "key 'source.f_convention' must be of type str, got 5"),
+    ('{"source": {"f_convention": "upside_down"}}', "key 'source.f_convention' must be one of ('ratio_as_f', 'ratio_as_inverse_f'), got 'upside_down'"),
+    ('{"source": {"n_channels": "x"}}', "key 'source.n_channels' must be of type int, got 'x'"),
+    ('{"source": {"n_channels": 0}}', "key 'source.n_channels' must be >= 1, got 0"),
+    ('{"source": {"n_channels": -3}}', "key 'source.n_channels' must be >= 1, got -3"),
+    ('{"source": {"spectrum_csv": 5}}', "key 'source.spectrum_csv' must be a path string or null, got 5"),
+    ('{"source": {"pump_nm": 0.0}}', "key 'source.pump_nm' must be > 0, got 0.0"),
+    ('{"source": {"pump_nm": -1.0}}', "key 'source.pump_nm' must be > 0, got -1.0"),
+    ('{"source": {"lambda_min_nm": 880.0}}', "key 'source.lambda_min_nm' (880.0) must not exceed 'source.lambda_max_nm' (874.0)"),
+    ('{"source": {"lambda_min_nm": 429.7}}', "key 'source.lambda_min_nm' (429.7) must exceed the pump wavelength (429.7)"),
+    ('{"source": {"lambda_max_nm": 850.0}}', "key 'source.lambda_min_nm' (860.0) must not exceed 'source.lambda_max_nm' (850.0)"),
+    ('{"source": {"lambda_min_nm": 400.0, "lambda_max_nm": 420.0}}', "key 'source.lambda_min_nm' (400.0) must exceed the pump wavelength (429.7)"),
+    ('{"source": {"pump_nm": 870.0}}', "key 'source.lambda_min_nm' (860.0) must exceed the pump wavelength (870.0)"),
+    ('{"detection": {"efficiency_signal": 1.4}}', "section 'detection': efficiency_signal must be in [0, 1], got 1.4"),
+    ('{"detection": {"efficiency_idler": -0.1}}', "section 'detection': efficiency_idler must be in [0, 1], got -0.1"),
+    ('{"fit": {"period_deg": 90.0}}', "key 'fit.period_deg' must be 180 or 360, got 90.0"),
+    ('{"fit": {"period_deg": 90}}', "key 'fit.period_deg' must be 180 or 360, got 90.0"),
+    ('{"qkd": {"n_pairs": "x"}}', "key 'qkd.n_pairs' must be of type int, got 'x'"),
+    ('{"qkd": {"n_pairs": 0}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 0"),
+    ('{"qkd": {"n_pairs": -1}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got -1"),
+    ('{"qkd": {"n_pairs": 9223372036854775808}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 9223372036854775808"),
+    ('{"qkd": {"n_pairs": 1180591620717411303424}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 1180591620717411303424"),
+    ('{"qkd": {"flip_rectilinear": 1}}', "section 'qkd': key 'qkd.flip_rectilinear' must be of type bool, got 1"),
+    ('{"qkd": {"flip_diagonal": 1}}', "section 'qkd': key 'qkd.flip_diagonal' must be of type bool, got 1"),
+    ('{"seed": -1}', "key 'seed' must be >= 0, got -1"),
+    ('{"detection": {"pair_rate_cps": -1.0}}', "section 'detection': pair_rate must be finite and >= 0, got -1.0"),
+    ('{"detection": {"accidental_rate_cps": -2.0}}', "section 'detection': accidental_rate must be finite and >= 0, got -2.0"),
+    ('{"detection": {"integration_time_s": 0.0}}', "section 'detection': integration_time must be finite and > 0, got 0.0"),
+    ('{"qkd": {"n_pairs": NaN}}', "key 'qkd.n_pairs' must be of type int, got nan"),
+    ('{"source": {"n_channels": true}}', "key 'source.n_channels' must be of type int, got True"),
+]
+
+
+@pytest.mark.parametrize("text, message", SINGLE_FAULT_MESSAGES)
+def test_single_fault_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        loads_config(text)
+    assert str(info.value) == message
+
+
+def test_channel_count_cap_rejected_with_path():
+    with pytest.raises(ConfigError) as info:
+        loads_config('{"source": {"n_channels": %d}}' % (MAX_CHANNELS + 1))
+    assert str(info.value) == f"key 'source.n_channels' must be <= {MAX_CHANNELS}, got {MAX_CHANNELS + 1}"
+
+
+def _number(min_value=None, max_value=None, exclude_min=False):
+    """A legal JSON number for a float key: a finite float or an integer."""
+    floats = st.floats(min_value, max_value, exclude_min=exclude_min, allow_nan=False, allow_infinity=False)
+    lo = -(10**6) if min_value is None else math.floor(min_value) + 1
+    hi = 10**6 if max_value is None else math.floor(max_value)
+    return st.one_of(floats, st.integers(lo, hi)) if lo <= hi else floats
+
+
+def _section(required=None, **optional):
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+_PROFILES = _section(center_nm=_number(), fwhm_nm=_number(0.0, exclude_min=True), peak_cps=_number(0.0))
+
+
+@st.composite
+def _legal_configs(draw):
+    pump = draw(_number(0.0, 1e4, exclude_min=True))
+    lo = draw(_number(pump, 2e4, exclude_min=True))
+    hi = draw(_number(lo, 3e4))
+    source = draw(
+        _section(
+            kind=st.sampled_from(["entangled", "product"]),
+            pump_nm=st.just(pump),
+            alpha_deg=_number(),
+            f_convention=st.sampled_from(["ratio_as_f", "ratio_as_inverse_f"]),
+            lambda_min_nm=st.just(lo),
+            lambda_max_nm=st.just(hi),
+            n_channels=st.integers(1, MAX_CHANNELS),
+            hv_profile=_PROFILES,
+            vh_profile=_PROFILES,
+            spectrum_csv=st.none() | st.text(),
+        )
+    )
+    # an omitted wavelength key takes its default, which must still be in order
+    default = default_run_config().source
+    pump = source.get("pump_nm", default.pump_nm)
+    lo = source.get("lambda_min_nm", default.lambda_min_nm)
+    hi = source.get("lambda_max_nm", default.lambda_max_nm)
+    if not pump < lo <= hi:
+        source.pop("lambda_min_nm", None)
+        source.pop("pump_nm", None)
+        source.pop("lambda_max_nm", None)
+    return draw(
+        _section(
+            seed=st.integers(0, 2**64),
+            out_dir=st.text(),
+            source=st.just(source),
+            detection=_section(
+                pair_rate_cps=_number(0.0),
+                efficiency_signal=_number(0.0, 1.0),
+                efficiency_idler=_number(0.0, 1.0),
+                accidental_rate_cps=_number(0.0),
+                integration_time_s=_number(0.0, exclude_min=True),
+            ),
+            fit=_section(period_deg=st.sampled_from([180.0, 360.0, 180, 360])),
+            qkd=_section(
+                n_pairs=st.integers(1, MAX_PAIRS),
+                flip_rectilinear=st.booleans(),
+                flip_diagonal=st.booleans(),
+            ),
+        )
+    )
+
+
+def _assert_given_keys_echoed(given_section, echo_section):
+    for key, value in given_section.items():
+        if isinstance(value, dict):
+            _assert_given_keys_echoed(value, echo_section[key])
+        else:
+            assert echo_section[key] == value, key
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_legal_configs())
+def test_config_echo_round_trip_property(raw):
+    cfg = loads_config(json.dumps(raw))
+    echo = config_to_dict(cfg)
+    assert loads_config(json.dumps(echo)) == cfg
+    assert config_to_dict(loads_config(json.dumps(echo))) == echo
+    _assert_given_keys_echoed(raw, echo)
+
+
 # --- CLI ---
 
 
@@ -328,6 +519,38 @@ def test_cli_qkd(tmp_path):
     assert all(r["qber_rect"] == 0.0 for r in reports)
     csv_lines = (out / "key_reports.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 9
+
+
+def test_cli_simulate_fit_product_source(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "product"}}))
+    out = tmp_path / "sim"
+    assert main(["simulate-fit", "--config", str(cfg_path), "--seed", "11", "--out", str(out)]) == 0
+    rows = json.loads((out / "simulate_fit_summary.json").read_text())["rows"]
+    assert len(rows) == 8 * 4
+    for row in rows:
+        if row["theta_s_deg"] == 135.0:
+            # the +45 product state never passes a signal polarizer at 135 deg
+            assert "all zero" in row["error"]
+        else:
+            assert "error" not in row
+            shift = signed_angle_difference(row["theta_max_deg"], 45.0)
+            assert abs(shift) <= 3.0 * row["theta_max_err_deg"]
+
+
+def test_cli_qkd_product_source(tmp_path):
+    n_pairs = 20_000
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "product"}, "qkd": {"n_pairs": n_pairs}}))
+    out = tmp_path / "qkd"
+    assert main(["qkd", "--config", str(cfg_path), "--seed", "11", "--out", str(out)]) == 0
+    reports = json.loads((out / "key_reports.json").read_text())
+    assert len(reports) == 8
+    # ~n_pairs / 4 pairs land in the rectilinear basis pair, each an error with probability 1/2
+    sigma = math.sqrt(0.25 / (n_pairs / 4))
+    for report in reports:
+        assert report["qber_diag"] == 0.0  # both photons always pass at +45
+        assert abs(report["qber_rect"] - 0.5) <= 6.0 * sigma
 
 
 def test_cli_reproduce_figures(tmp_path):

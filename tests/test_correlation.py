@@ -21,6 +21,7 @@ from wdmqkd import (
     correlation_E,
     estimate_f,
     find_theta_max,
+    scan_coefficients,
     shift_table,
     signed_angle_difference,
     visibility,
@@ -334,3 +335,20 @@ def test_theta_max_at_signal_90_stays_below_180(alpha_deg):
     theta_max = find_theta_max(BiphotonPureState.from_degrees(1.73, alpha_deg), 90.0).theta_max
     assert 0.0 <= theta_max < 180.0
     assert min(theta_max, 180.0 - theta_max) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state, ts: scan_coefficients(state, ts),
+        lambda state, ts: find_theta_max(state, ts),
+        lambda state, ts: shift_table(state, [0.0, ts]),
+        lambda state, ts: visibility(state, ts),
+    ],
+    ids=["scan_coefficients", "find_theta_max", "shift_table", "visibility"],
+)
+@pytest.mark.parametrize("theta_s", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("state", [BiphotonPureState(1.0, 0.0), ProductState()], ids=["pure", "product"])
+def test_non_finite_signal_angle_rejected(call, theta_s, state):
+    with pytest.raises(ValueError, match="theta_s must be finite"):
+        call(state, theta_s)

@@ -18,6 +18,7 @@ from wdmqkd import (
     estimate_f,
     idler_wavelength,
 )
+from wdmqkd.spectral import MAX_CHANNELS
 
 
 def test_idler_frozen_values():
@@ -217,3 +218,14 @@ def test_build_channels_from_table(tmp_path):
         assert ch.rate_HV == pytest.approx(300.0)
         assert ch.rate_VH == pytest.approx(100.0)
         assert ch.alpha == 0.5
+
+
+def test_channel_count_cap_rejected_before_building():
+    # one past the cap: the check runs before the grid is allocated
+    too_many = MAX_CHANNELS + 1
+    hv, vh = default_profiles()
+    with pytest.raises(ValueError, match=f"n_channels must be <= {MAX_CHANNELS}"):
+        build_channels(hv, vh, n_channels=too_many)
+    table = TabulatedSpectrum([860.0, 874.0], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="n_channels"):
+        build_channels_from_table(table, n_channels=too_many)
