@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 FIXED_SIGNAL_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
+# 180 deg stays: the benchmark and acceptance grids scan 0-180, and with one
+# stream per scan it is a second, independent measurement of the 0-deg setting.
 SCAN_ANGLES_DEG = tuple(float(a) for a in range(0, 181, 10))
 
 # Parameter sets of the standard model plots: (directory, f, alpha_deg).

@@ -154,7 +154,10 @@ def _get(section: dict, key: str, default, kind, path: str):
         return value
     is_bool = isinstance(value, bool)  # bool subclasses int, but is never a number here
     if kind is float and isinstance(value, int) and not is_bool:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"key '{path}{key}' must be finite, got an integer beyond the float range") from None
     if not isinstance(value, kind) or (is_bool and kind is not bool):
         raise ConfigError(f"key '{path}{key}' must be of type {kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(value):

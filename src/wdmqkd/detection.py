@@ -5,11 +5,11 @@ coincidence rate times the integration time,
 
     mean = T * (pair_rate * eff_s * eff_i * p + accidental_rate),
 
-with p the coincidence probability at the analyzer angles.  Random streams
-are split per (seed, channel, angle) so results never depend on evaluation
-order: the angle enters the split as its value reduced mod 180 deg and
-quantized to millidegrees, which means permuting the scanned angle list
-simply permutes the counts.
+with p the coincidence probability at the analyzer angles.  Each scan draws
+its points from one random stream, split per (seed, channel, fixed arm,
+fixed angle), in ascending order of the scanned angle: results never depend
+on evaluation order, permuting the scanned angle list simply permutes the
+counts, and the points at 0 and 180 deg are separate draws.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ __all__ = [
 
 SCAN_ARMS = ("signal", "idler")
 
+# Largest Poisson mean of one scan point a DetectionConfig may give.  numpy's
+# Poisson sampler rejects means above about 9.2e18 (its int64 output range)
+# with an error that names no input; this bound sits below that limit.
+MAX_MEAN = 1e18
+
 
 @dataclass(frozen=True)
 class DetectionConfig:
@@ -46,7 +51,7 @@ class DetectionConfig:
         efficiency_idler: Idler-arm detection efficiency in [0, 1].
         accidental_rate: Angle-independent background coincidence rate, 1/s.
         integration_time: Counting time per scan point, s.
-        seed: Master seed of the per-point random streams.
+        seed: Master seed of the per-scan random streams.
     """
 
     pair_rate: float = 2000.0
@@ -70,6 +75,12 @@ class DetectionConfig:
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
+        peak = expected_mean(1.0, self)
+        if not peak <= MAX_MEAN:
+            raise ValueError(
+                "integration_time * (pair_rate * efficiency_signal * efficiency_idler"
+                f" + accidental_rate) must be <= {MAX_MEAN:g}, got {peak}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,13 +120,13 @@ def angle_stream_key(theta_deg: float) -> int:
 
 
 def derive_stream(seed: int, channel_id: int = 0, angle_key: int = 0) -> np.random.Generator:
-    """Independent random stream for one (channel, angle) cell of a run."""
+    """Independent random stream for one (channel, angle key) cell of a run."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(channel_id), int(angle_key)]))
 
 
-def expected_mean(p: float, config: DetectionConfig) -> float:
-    """Poisson mean of one scan point at coincidence probability p."""
-    if not 0.0 <= p <= 1.0:
+def expected_mean(p, config: DetectionConfig):
+    """Poisson mean at coincidence probability p, a float or an array of them."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"coincidence probability must be in [0, 1], got {p}")
     return config.integration_time * (
         config.pair_rate * config.efficiency_signal * config.efficiency_idler * p
@@ -141,9 +152,9 @@ def simulate_scan(
         state: Pair state the coincidence probabilities come from.
         fixed: (arm, angle_deg) of the held polarizer; arm is 'signal' or
             'idler' and the other arm is scanned.
-        angles: Scanned angles in degrees, any order.  Each angle gets its
-            own random stream, so the same angle always receives the same
-            draw under a given (seed, channel_id).
+        angles: Scanned angles in degrees, any order.  One stream per
+            (seed, channel_id, fixed arm, fixed angle) draws them in
+            ascending order, so permuting the angles permutes the counts.
         config: Detection parameters, including the master seed.
         channel_id: Spectral channel index mixed into the stream split.
 
@@ -155,15 +166,15 @@ def simulate_scan(
         raise ValueError(f"fixed arm must be one of {SCAN_ARMS}, got {arm!r}")
     angles = tuple(float(a) for a in angles)
     settings = (fixed_theta, angles) if arm == "signal" else (angles, fixed_theta)
-    counts = tuple(
-        simulate_counts(p, config, derive_stream(config.seed, channel_id, angle_stream_key(theta)))
-        for theta, p in zip(angles, coincidence_probabilities(state, *settings).tolist())
-    )
+    means = expected_mean(coincidence_probabilities(state, *settings), config)
+    key = SCAN_ARMS.index(arm) * 180000 + angle_stream_key(fixed_theta)
+    order = np.argsort(angles, kind="stable")
+    counts = derive_stream(config.seed, channel_id, key).poisson(means[order])[np.argsort(order)]
     return ScanData(
         theta_fixed_arm=arm,
         theta_fixed=float(fixed_theta),
         angles=angles,
-        counts=counts,
+        counts=tuple(counts.tolist()),
         config=config,
     )
 

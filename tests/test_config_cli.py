@@ -19,6 +19,7 @@ from wdmqkd import (
 )
 from wdmqkd.cli import main
 from wdmqkd.correlation import signed_angle_difference
+from wdmqkd.detection import MAX_MEAN, DetectionConfig
 from wdmqkd.qkd import MAX_PAIRS
 from wdmqkd.spectral import MAX_CHANNELS
 
@@ -130,6 +131,31 @@ def test_non_finite_values_rejected_in_every_section():
         loads_config('{"source": {"hv_profile": {"fwhm_nm": Infinity}}}')
     with pytest.raises(ConfigError, match="fit.period_deg"):
         loads_config('{"fit": {"period_deg": NaN}}')
+
+
+@pytest.mark.parametrize(
+    "key", ["source.alpha_deg", "source.hv_profile.center_nm", "detection.pair_rate_cps", "fit.period_deg"]
+)
+def test_float_key_beyond_float_range_rejected_with_path(key, tmp_path):
+    # qkd has no float key; a JSON integer of 400 digits overflows float()
+    text = "1" + "0" * 400
+    for name in reversed(key.split(".")):
+        text = '{"%s": %s}' % (name, text)
+    with pytest.raises(ConfigError) as info:
+        loads_config(text)
+    assert str(info.value).endswith(f"key '{key}' must be finite, got an integer beyond the float range")
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_detection_mean_cap_rejected_with_section():
+    with pytest.raises(ConfigError) as info:
+        loads_config('{"detection": {"pair_rate_cps": %r}}' % math.nextafter(MAX_MEAN, math.inf))
+    assert str(info.value) == (
+        "section 'detection': integration_time * (pair_rate * efficiency_signal * efficiency_idler"
+        " + accidental_rate) must be <= 1e+18, got 1.0000000000000001e+18"
+    )
 
 
 def test_load_config_rejects_non_finite(tmp_path):
@@ -340,7 +366,7 @@ def _legal_configs(draw):
         source.pop("lambda_min_nm", None)
         source.pop("pump_nm", None)
         source.pop("lambda_max_nm", None)
-    return draw(
+    raw = draw(
         _section(
             seed=st.integers(0, 2**64),
             out_dir=st.text(),
@@ -360,6 +386,19 @@ def _legal_configs(draw):
             ),
         )
     )
+    # the Poisson mean at p = 1 must not exceed MAX_MEAN; an over-large
+    # draw drops its rate and time keys, which then take their defaults
+    detection, d = raw.get("detection", {}), DetectionConfig()
+    mean = detection.get("integration_time_s", d.integration_time) * (
+        detection.get("pair_rate_cps", d.pair_rate)
+        * detection.get("efficiency_signal", d.efficiency_signal)
+        * detection.get("efficiency_idler", d.efficiency_idler)
+        + detection.get("accidental_rate_cps", d.accidental_rate)
+    )
+    if not mean <= MAX_MEAN:
+        for key in ("pair_rate_cps", "accidental_rate_cps", "integration_time_s"):
+            detection.pop(key, None)
+    return raw
 
 
 def _assert_given_keys_echoed(given_section, echo_section):

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import wdmqkd.detection as detection
 from wdmqkd import (
     BiphotonPureState,
     DetectionConfig,
     ProductState,
     ScanData,
     angle_stream_key,
+    coincidence_probabilities,
     derive_stream,
     expected_mean,
     scan_from_csv,
@@ -33,7 +35,7 @@ def test_simulate_scan_deterministic():
 
 
 def test_simulate_scan_angle_permutation_invariance():
-    # per-angle streams are keyed by angle value, so permuting the scanned
+    # points are drawn in ascending angle order, so permuting the scanned
     # list must permute the counts and change nothing else
     state = BiphotonPureState(1.73, 0.3)
     config = DetectionConfig(seed=42)
@@ -51,6 +53,58 @@ def test_simulate_scan_channels_are_independent_streams():
     ch0 = simulate_scan(state, ("signal", 45.0), ANGLES, config, channel_id=0)
     ch1 = simulate_scan(state, ("signal", 45.0), ANGLES, config, channel_id=1)
     assert ch0.counts != ch1.counts
+
+
+def test_simulate_scan_draws_from_one_stream(monkeypatch):
+    streams = []
+    derive = detection.derive_stream
+    monkeypatch.setattr(detection, "derive_stream", lambda *key: streams.append(key) or derive(*key))
+    simulate_scan(BiphotonPureState(1.73, 0.0), ("signal", 45.0), ANGLES, DetectionConfig(seed=1))
+    assert len(streams) == 1
+
+
+def _residuals(state, theta_s, config):
+    """(counts - mean)/sqrt(mean) of one signal-fixed scan, and its means."""
+    mean = expected_mean(coincidence_probabilities(state, theta_s, ANGLES), config)
+    counts = np.array(simulate_scan(state, ("signal", theta_s), ANGLES, config).counts)
+    return (counts - mean) / np.sqrt(np.maximum(mean, 1.0)), mean
+
+
+@pytest.mark.parametrize("theta_a, theta_b", [(0.0, 90.0), (45.0, 135.0)])
+def test_simulate_scan_signal_angles_have_independent_noise(theta_a, theta_b):
+    # the four simulate-fit scans of a channel: their noise must not be shared
+    state = BiphotonPureState(1.73, 0.0)
+    r_a, r_b = [], []
+    for seed in range(200):
+        config = DetectionConfig(seed=seed)
+        (res_a, mean_a), (res_b, mean_b) = (_residuals(state, t, config) for t in (theta_a, theta_b))
+        both = (mean_a >= 10.0) & (mean_b >= 10.0)  # leave out near-dark points
+        r_a.extend(res_a[both])
+        r_b.extend(res_b[both])
+    assert len(r_a) >= 200 * 10
+    assert abs(np.corrcoef(r_a, r_b)[0, 1]) < 0.1
+
+
+def test_simulate_scan_0_and_180_deg_are_separate_draws():
+    state = BiphotonPureState(1.73, 0.0)
+    equal = 0
+    for seed in range(300):
+        counts = simulate_scan(state, ("signal", 45.0), (0.0, 180.0), DetectionConfig(seed=seed)).counts
+        equal += counts[0] == counts[1]
+    assert equal < 0.1 * 300
+
+
+def test_simulate_scan_fixed_arm_enters_the_stream():
+    # (HV + VH)/sqrt(2) is symmetric under swapping the arms, so both scans
+    # have the same means and differ only through their streams
+    state = BiphotonPureState(1.0, 0.0)
+    np.testing.assert_allclose(
+        coincidence_probabilities(state, 45.0, ANGLES), coincidence_probabilities(state, ANGLES, 45.0)
+    )
+    config = DetectionConfig(seed=4)
+    signal = simulate_scan(state, ("signal", 45.0), ANGLES, config)
+    idler = simulate_scan(state, ("idler", 45.0), ANGLES, config)
+    assert signal.counts != idler.counts
 
 
 def test_simulate_scan_zero_probability_zero_background():
@@ -163,6 +217,12 @@ def test_scan_data_validation():
 def test_detection_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         DetectionConfig(**{field: value})
+
+
+def test_detection_config_rejects_poisson_mean_above_cap():
+    assert expected_mean(1.0, DetectionConfig(pair_rate=detection.MAX_MEAN)) == detection.MAX_MEAN
+    with pytest.raises(ValueError, match=r"integration_time \* \(pair_rate \* efficiency_signal"):
+        DetectionConfig(pair_rate=math.nextafter(detection.MAX_MEAN, math.inf))
 
 
 def test_detection_config_validation():
