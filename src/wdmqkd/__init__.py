@@ -56,6 +56,7 @@ from .detection import (
     scan_to_csv,
     simulate_counts,
     simulate_scan,
+    simulate_scans,
 )
 from .qkd import (
     ChannelKeyReport,
@@ -74,6 +75,7 @@ from .scanfit import (
     ScanMetrics,
     fit_result_to_dict,
     fit_scan,
+    fit_scans,
     fit_sinusoid,
     scan_metrics,
 )

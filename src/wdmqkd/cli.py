@@ -7,12 +7,12 @@ Subcommands:
     qkd                per-channel key exchange and the multiplexed totals
     reproduce-figures  theory scans for the four standard parameter sets
 
-Every command takes --config/--seed/--out/--period, writes its outputs plus a
-resolved-config echo into the output directory, and is byte-deterministic
-under a fixed seed.  Exit status is 0 on success (degenerate scans are
-flagged in the summaries, not errors), 2 for a configuration problem or any
-other rejected value (e.g. qkd on a channel with zero rate in both bands),
-and 1 for I/O failures.
+Every command takes --config/--seed/--out/--period, creates its output
+directory once, writes its outputs plus a resolved-config echo into it, and
+is byte-deterministic under a fixed seed.  Exit status is 0 on success
+(degenerate scans are flagged in the summaries, not errors), 2 for a
+configuration problem or any other rejected value (e.g. qkd on a channel
+with zero rate in both bands), and 1 for I/O failures.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .config import (
     source_channels,
 )
 from .correlation import estimate_f, shift_table
-from .detection import simulate_scan, scan_to_csv
+from .detection import scan_to_csv, simulate_scans
 from .qkd import report_to_dict, reports_to_csv, run_bbm92, wdm_aggregate
-from .scanfit import fit_result_to_dict, fit_scan, scan_metrics
+from .scanfit import fit_result_to_dict, fit_scans, scan_metrics
 from .spectral import SpectralChannel, channel_state
 
 __all__ = [
@@ -64,17 +64,15 @@ FIGURE_SETS = (
 )
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(cfg: RunConfig, out_dir: Path | None = None) -> Path:
-    return Path(cfg.out_dir if out_dir is None else out_dir)
+    """A command's output directory, created (with its parents) if missing."""
+    out = Path(cfg.out_dir if out_dir is None else out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _channel_state(cfg: RunConfig, channel: SpectralChannel) -> PairState:
@@ -102,7 +100,6 @@ def cmd_theory_scan(
     summary with peak positions, shifts against theta_s = 0, visibilities
     and degeneracy flags.
     """
-    out = _out_dir(cfg, out_dir)
     if product or (f is None and cfg.source.kind == "product"):
         state: PairState = ProductState()
         described = {"kind": "product"}
@@ -114,10 +111,11 @@ def cmd_theory_scan(
         described = {"kind": "entangled", "f": state.f, "alpha_deg": math.degrees(state.alpha)}
     thetas = tuple(theta_s_list) if theta_s_list else (0.0, 45.0, 135.0)
     grid = np.arange(0.0, 180.0, 1.0).tolist()
+    out = _out_dir(cfg, out_dir)
     for ts in thetas:
         rates = coincidence_probabilities(state, ts, grid).tolist()
         lines = ["theta_i_deg,rate", *(f"{ti!r},{p!r}" for ti, p in zip(grid, rates))]
-        _write_text(out / f"theory_scan_thetas_{_angle_label(ts)}.csv", "\n".join(lines) + "\n")
+        (out / f"theory_scan_thetas_{_angle_label(ts)}.csv").write_text("\n".join(lines) + "\n")
     rows = []
     for entry in shift_table(state, thetas, reference=0.0):
         rows.append(
@@ -137,43 +135,45 @@ def cmd_theory_scan(
 def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     """Simulate idler scans per channel and fixed signal angle, then fit them.
 
-    Writes one scan CSV and one fit JSON per (channel, angle) and a summary
-    with fitted peaks and visibilities.  Failures (a fit that cannot run, a
-    channel whose ratio is infinite under the configured convention) are
-    recorded per row and do not abort the run.
+    Each channel's scans are simulated in one call, and the whole run's
+    scans are fitted in one batched solve.  Writes one scan CSV and one fit
+    JSON per (channel, angle) and a summary with fitted peaks and
+    visibilities.  Failures (a fit that cannot run, a channel whose ratio is
+    infinite under the configured convention) are recorded per row and do
+    not abort the run.
     """
-    out = _out_dir(cfg, out_dir)
-    channels = source_channels(cfg.source)
-    rows = []
-    for k, channel in enumerate(channels):
+    rows, scanned = [], []  # scanned: (file stem, scan, its summary row)
+    for k, channel in enumerate(source_channels(cfg.source)):
+        head = {"channel": k, "lambda_signal_nm": channel.lambda_signal}
         try:
             state = _channel_state(cfg, channel)
         except ValueError as exc:
-            rows.append({"channel": k, "lambda_signal_nm": channel.lambda_signal, "error": str(exc)})
+            rows.append({**head, "error": str(exc)})
             continue
-        for ts in FIXED_SIGNAL_ANGLES_DEG:
-            scan = simulate_scan(state, ("signal", ts), SCAN_ANGLES_DEG, cfg.detection, channel_id=k)
-            stem = f"ch{k:02d}_thetas_{_angle_label(ts)}"
-            _write_text(out / f"scan_{stem}.csv", scan_to_csv(scan))
-            row = {"channel": k, "lambda_signal_nm": channel.lambda_signal, "theta_s_deg": ts}
-            try:
-                fit = fit_scan(scan, period=cfg.fit_period)
-            except ValueError as exc:
-                row["error"] = str(exc)
-                rows.append(row)
-                continue
-            _write_json(out / f"fit_{stem}.json", fit_result_to_dict(fit))
-            metrics = scan_metrics(fit)
-            row.update(
-                {
-                    "theta_max_deg": metrics.theta_max,
-                    "theta_max_err_deg": metrics.theta_max_err,
-                    "visibility": metrics.visibility,
-                    "visibility_err": metrics.visibility_err,
-                    "converged": fit.converged,
-                }
-            )
-            rows.append(row)
+        scans = simulate_scans(
+            state, "signal", FIXED_SIGNAL_ANGLES_DEG, SCAN_ANGLES_DEG, cfg.detection, channel_id=k
+        )
+        for ts, scan in zip(FIXED_SIGNAL_ANGLES_DEG, scans):
+            rows.append({**head, "theta_s_deg": ts})
+            scanned.append((f"ch{k:02d}_thetas_{_angle_label(ts)}", scan, rows[-1]))
+    fits = fit_scans([scan for _, scan, _ in scanned], period=cfg.fit_period)
+    out = _out_dir(cfg, out_dir)
+    for (stem, scan, row), fit in zip(scanned, fits):
+        (out / f"scan_{stem}.csv").write_text(scan_to_csv(scan))
+        if isinstance(fit, ValueError):
+            row["error"] = str(fit)
+            continue
+        _write_json(out / f"fit_{stem}.json", fit_result_to_dict(fit))
+        metrics = scan_metrics(fit)
+        row.update(
+            {
+                "theta_max_deg": metrics.theta_max,
+                "theta_max_err_deg": metrics.theta_max_err,
+                "visibility": metrics.visibility,
+                "visibility_err": metrics.visibility_err,
+                "converged": fit.converged,
+            }
+        )
     summary = {"period_deg": cfg.fit_period, "rows": rows}
     _write_json(out / "simulate_fit_summary.json", summary)
     return summary
@@ -184,7 +184,6 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
 
     A dark channel (both rates zero) has no ratio; its readings are NaN.
     """
-    out = _out_dir(cfg, out_dir)
     lines = ["lambda_signal_nm,lambda_idler_nm,rate_hv,rate_vh,f_hat,f_hat_inv"]
     rows = []
     for channel in source_channels(cfg.source):
@@ -207,13 +206,12 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
             f"{channel.lambda_signal!r},{channel.lambda_idler!r},{channel.rate_HV!r},"
             f"{channel.rate_VH!r},{f_hat!r},{f_hat_inv!r}"
         )
-    _write_text(out / "spectrum.csv", "\n".join(lines) + "\n")
+    (_out_dir(cfg, out_dir) / "spectrum.csv").write_text("\n".join(lines) + "\n")
     return rows
 
 
 def cmd_qkd(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     """Run the key exchange on every channel and write reports plus totals."""
-    out = _out_dir(cfg, out_dir)
     channels = source_channels(cfg.source)
     reports = []
     for k, channel in enumerate(channels):
@@ -222,7 +220,8 @@ def cmd_qkd(cfg: RunConfig, out_dir: Path | None = None) -> dict:
             run_bbm92(state, cfg.qkd, channel_id=k, lambda_signal=channel.lambda_signal)
         )
     summary = wdm_aggregate(reports)
-    _write_text(out / "key_reports.csv", reports_to_csv(summary.channels))
+    out = _out_dir(cfg, out_dir)
+    (out / "key_reports.csv").write_text(reports_to_csv(summary.channels))
     _write_json(out / "key_reports.json", [report_to_dict(r) for r in summary.channels])
     totals = {
         "n_channels": len(summary.channels),
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         COMMANDS[args.command][1](cfg, args)
-        _write_json(_out_dir(cfg) / "config_echo.json", config_to_dict(cfg))
+        _write_json(Path(cfg.out_dir) / "config_echo.json", config_to_dict(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

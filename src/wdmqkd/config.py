@@ -275,6 +275,10 @@ def loads_config(text: str, name: str = "<config>") -> RunConfig:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ConfigError:  # a duplicate key, already named
+        raise
+    except ValueError as exc:  # e.g. an integer beyond the int-string conversion limit
+        raise ConfigError(f"{name}: {exc}") from None
     return _build_run_config(raw)
 
 
@@ -282,8 +286,10 @@ def load_config(path) -> RunConfig:
     """Load and validate a JSON config file.
 
     Raises:
-        ConfigError: On malformed JSON (with line/column), unknown or
-            duplicate keys (with the dotted key path), or out-of-range values.
+        ConfigError: On malformed JSON (with line/column), a JSON value
+            the parser rejects (e.g. an integer beyond Python's int-string
+            conversion limit, with the file name), unknown or duplicate
+            keys (with the dotted key path), or out-of-range values.
         OSError: When the file cannot be read.
     """
     text = Path(path).read_text()

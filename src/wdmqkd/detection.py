@@ -10,6 +10,10 @@ its points from one random stream, split per (seed, channel, fixed arm,
 fixed angle), in ascending order of the scanned angle: results never depend
 on evaluation order, permuting the scanned angle list simply permutes the
 counts, and the points at 0 and 180 deg are separate draws.
+
+``simulate_scans`` evaluates the probabilities of several scans of one arm
+in one call over the (fixed x scanned) angle grid; since each scan keeps its
+own stream, its counts equal those of a separate ``simulate_scan`` call.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "expected_mean",
     "simulate_counts",
     "simulate_scan",
+    "simulate_scans",
     "scan_to_csv",
     "scan_from_csv",
 ]
@@ -139,6 +144,48 @@ def simulate_counts(p: float, config: DetectionConfig, rng: np.random.Generator)
     return int(rng.poisson(expected_mean(p, config)))
 
 
+def simulate_scans(
+    state: PairState,
+    arm: str,
+    fixed_angles,
+    angles,
+    config: DetectionConfig,
+    channel_id: int = 0,
+) -> tuple[ScanData, ...]:
+    """Simulate one polarizer scan per fixed angle of one arm.
+
+    Args:
+        state: Pair state the coincidence probabilities come from.
+        arm: The held arm, 'signal' or 'idler'; the other arm is scanned.
+        fixed_angles: Angles of the held polarizer in degrees, one scan each.
+        angles: Scanned angles in degrees, any order, shared by every scan.
+            One stream per (seed, channel_id, arm, fixed angle) draws a
+            scan's points in ascending order, so permuting the angles
+            permutes the counts.
+        config: Detection parameters, including the master seed.
+        channel_id: Spectral channel index mixed into the stream split.
+
+    Returns:
+        One ScanData per fixed angle, in the given order, each with one
+        integer count per scanned angle.
+    """
+    if arm not in SCAN_ARMS:
+        raise ValueError(f"fixed arm must be one of {SCAN_ARMS}, got {arm!r}")
+    fixed_angles = tuple(float(t) for t in fixed_angles)
+    angles = tuple(float(a) for a in angles)
+    fixed, scanned = np.array(fixed_angles)[:, None], np.array(angles)[None, :]
+    grid = (fixed, scanned) if arm == "signal" else (scanned, fixed)
+    means = expected_mean(coincidence_probabilities(state, *grid), config)
+    order = np.argsort(angles, kind="stable")
+    unsort = np.argsort(order)
+    scans = []
+    for theta, row in zip(fixed_angles, means):
+        key = SCAN_ARMS.index(arm) * 180000 + angle_stream_key(theta)
+        counts = derive_stream(config.seed, channel_id, key).poisson(row[order])[unsort]
+        scans.append(ScanData(arm, theta, angles, tuple(counts.tolist()), config))
+    return tuple(scans)
+
+
 def simulate_scan(
     state: PairState,
     fixed: tuple[str, float],
@@ -146,37 +193,8 @@ def simulate_scan(
     config: DetectionConfig,
     channel_id: int = 0,
 ) -> ScanData:
-    """Simulate a full polarizer scan of one arm.
-
-    Args:
-        state: Pair state the coincidence probabilities come from.
-        fixed: (arm, angle_deg) of the held polarizer; arm is 'signal' or
-            'idler' and the other arm is scanned.
-        angles: Scanned angles in degrees, any order.  One stream per
-            (seed, channel_id, fixed arm, fixed angle) draws them in
-            ascending order, so permuting the angles permutes the counts.
-        config: Detection parameters, including the master seed.
-        channel_id: Spectral channel index mixed into the stream split.
-
-    Returns:
-        ScanData with one integer count per input angle.
-    """
-    arm, fixed_theta = fixed
-    if arm not in SCAN_ARMS:
-        raise ValueError(f"fixed arm must be one of {SCAN_ARMS}, got {arm!r}")
-    angles = tuple(float(a) for a in angles)
-    settings = (fixed_theta, angles) if arm == "signal" else (angles, fixed_theta)
-    means = expected_mean(coincidence_probabilities(state, *settings), config)
-    key = SCAN_ARMS.index(arm) * 180000 + angle_stream_key(fixed_theta)
-    order = np.argsort(angles, kind="stable")
-    counts = derive_stream(config.seed, channel_id, key).poisson(means[order])[np.argsort(order)]
-    return ScanData(
-        theta_fixed_arm=arm,
-        theta_fixed=float(fixed_theta),
-        angles=angles,
-        counts=tuple(counts.tolist()),
-        config=config,
-    )
+    """Simulate one polarizer scan; fixed is (arm, angle_deg).  See simulate_scans."""
+    return simulate_scans(state, fixed[0], (fixed[1],), angles, config, channel_id)[0]
 
 
 def scan_to_csv(scan: ScanData) -> str:

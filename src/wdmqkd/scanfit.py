@@ -12,6 +12,12 @@ A + B*cos(w*theta) + C*sin(w*theta) in other coordinates, so the weighted
 least-squares optimum is one linear solve, mapped back by c = A,
 v = hypot(B, C)/A and theta0 = atan2(C, B)/w.  The parameter covariance is
 the inverse weighted normal matrix of (c, v, theta0) at the solution.
+
+Scans that share one angle list are fitted together (``fit_scans``): the
+design matrix and its rank are computed once, the weighted least-squares
+problems are solved by one stacked SVD, and the covariances come from one
+stacked inverse.  ``fit_sinusoid`` and ``fit_scan`` are one-row calls of
+the same code.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "ScanMetrics",
     "fit_sinusoid",
     "fit_scan",
+    "fit_scans",
     "scan_metrics",
     "fit_result_to_dict",
 ]
@@ -86,12 +93,102 @@ class ScanMetrics:
     visibility_err: float
 
 
-def _jacobian(params: np.ndarray, theta: np.ndarray, omega: float) -> np.ndarray:
-    c, v, theta0 = params
-    phase = omega * (theta - theta0)
-    cos_ph = np.cos(phase)
-    sin_ph = np.sin(phase)
-    return np.column_stack([1.0 + v * cos_ph, c * cos_ph, c * v * omega * sin_ph])
+def _inverse_or_inf(normal: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack; a singular one becomes all inf."""
+    try:
+        return np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        if len(normal) == 1:
+            return np.full(normal.shape, np.inf)
+        return np.concatenate([_inverse_or_inf(normal[i : i + 1]) for i in range(len(normal))])
+
+
+def _shared_error(theta: np.ndarray, rows: np.ndarray, period: float) -> str | None:
+    """fit_sinusoid's message for angles that no row can be fitted at, or None."""
+    if theta.ndim != 1 or rows.shape[1:] != theta.shape:
+        return "theta_deg and counts must be 1-d arrays of equal length"
+    if theta.size < 4:
+        return f"need at least 4 points to fit 3 parameters, got {theta.size}"
+    span = float(theta.max() - theta.min())
+    if span < period / 2.0 - 1e-9:
+        return f"angles span {span} deg but at least half a period ({period / 2.0} deg) is required"
+    return None
+
+
+def _fit_rows(
+    theta: np.ndarray, rows: np.ndarray, period: float
+) -> list[FitResult | ValueError]:
+    """FitResult or ValueError for each row of counts rows[k] at the angles theta.
+
+    A row's ValueError is the first of fit_sinusoid's checks it fails; the
+    rows that pass are solved together.
+    """
+    if period not in SUPPORTED_PERIODS:
+        raise ValueError(f"period must be one of {SUPPORTED_PERIODS}, got {period}")
+    results = [None] * len(rows)
+
+    def fail(bad: np.ndarray, message: str) -> bool:
+        """Give rows where bad holds the message, unless they failed before; True if all failed."""
+        if bad.any():
+            for k in np.flatnonzero(bad):
+                results[k] = results[k] or ValueError(message)
+        return all(results)
+
+    every_row = np.ones(len(rows), dtype=bool)
+
+    finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1) & np.isfinite(theta).all()
+    if fail(~finite, "theta_deg and counts must be finite"):
+        return results
+    shared = _shared_error(theta, rows, period)
+    if shared is not None:
+        fail(every_row, shared)
+        return results
+    fail((rows < 0.0).any(axis=1), "counts must be >= 0")
+    if fail(~(rows > 0.0).any(axis=1), "counts are all zero: an empty scan has no fringe to fit"):
+        return results
+    omega = 2.0 * np.pi / period  # radians per degree of scan angle
+    design = np.column_stack([np.ones_like(theta), np.cos(omega * theta), np.sin(omega * theta)])
+    # Positive weights leave the rank as it is, so it is the design's, found once.
+    rank = np.linalg.matrix_rank(design)
+    if rank < 3:
+        fail(every_row, f"theta_deg needs at least 3 distinct angles modulo {period} deg; "
+             f"the fit's design matrix has rank {rank}")
+        return results
+
+    good = [k for k, result in enumerate(results) if result is None]
+    y = rows[good]
+    sqrt_w = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    weighted = design * sqrt_w[:, :, None]
+    target = y * sqrt_w
+    u, sv, vt = np.linalg.svd(weighted, full_matrices=False)
+    solution = np.einsum("kji,kj->ki", vt, np.einsum("kni,kn->ki", u, target) / sv)
+    residual = target - np.einsum("kni,ki->kn", weighted, solution)
+    chi2_reduced = (residual**2).sum(axis=1) / (theta.size - 3)
+
+    # Canonical form: positive visibility, phase folded into [0, period).
+    a, b, s = solution.T
+    c, v, theta0 = a, np.hypot(b, s) / a, np.arctan2(s, b) / omega
+    theta0 = np.where(v < 0.0, theta0 + period / 2.0, theta0) % period
+    theta0[theta0 == period] = 0.0  # a tiny negative phase rounds up to the period
+    v = np.abs(v)
+
+    phase = omega * (theta - theta0[:, None])
+    cos_ph, sin_ph = np.cos(phase), np.sin(phase)
+    jac = np.stack(
+        [1.0 + v[:, None] * cos_ph, c[:, None] * cos_ph, (c * v * omega)[:, None] * sin_ph], axis=-1
+    ) * sqrt_w[:, :, None]
+    covariance = _inverse_or_inf(np.matmul(jac.transpose(0, 2, 1), jac))
+    for k, ck, vk, tk, cov, chi2 in zip(
+        good, c.tolist(), v.tolist(), theta0.tolist(), covariance, chi2_reduced.tolist()
+    ):
+        results[k] = FitResult(ck, vk, tk, cov.copy(), chi2, float(period), True, int(theta.size))
+    return results
+
+
+def _raise_or_return(result):
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
@@ -112,67 +209,36 @@ def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
             or all-zero counts, or fewer than 3 distinct angles modulo the
             period (a rank-deficient solve).
     """
-    if period not in SUPPORTED_PERIODS:
-        raise ValueError(f"period must be one of {SUPPORTED_PERIODS}, got {period}")
     theta = np.asarray(theta_deg, dtype=float)
-    y = np.asarray(counts, dtype=float)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(y))):
-        raise ValueError("theta_deg and counts must be finite")
-    if theta.ndim != 1 or theta.shape != y.shape:
-        raise ValueError("theta_deg and counts must be 1-d arrays of equal length")
-    if theta.size < 4:
-        raise ValueError(f"need at least 4 points to fit 3 parameters, got {theta.size}")
-    span = float(theta.max() - theta.min())
-    if span < period / 2.0 - 1e-9:
-        raise ValueError(
-            f"angles span {span} deg but at least half a period ({period / 2.0} deg) is required"
-        )
-    if np.any(y < 0.0):
-        raise ValueError("counts must be >= 0")
-    if not np.any(y > 0.0):
-        raise ValueError("counts are all zero: an empty scan has no fringe to fit")
-
-    omega = 2.0 * np.pi / period  # radians per degree of scan angle
-    sqrt_w = 1.0 / np.sqrt(np.maximum(y, 1.0))
-    design = np.column_stack([np.ones_like(theta), np.cos(omega * theta), np.sin(omega * theta)])
-    (a, b, s), ss, rank, _ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=None)
-    if rank < 3:
-        raise ValueError(
-            f"theta_deg needs at least 3 distinct angles modulo {period} deg; "
-            f"the fit's design matrix has rank {rank}"
-        )
-
-    # Canonical form: positive visibility, phase folded into [0, period).
-    params = np.array([a, math.hypot(b, s) / a, math.atan2(s, b) / omega])
-    if params[1] < 0.0:
-        params[1] = -params[1]
-        params[2] += period / 2.0
-    params[2] %= period
-    if params[2] == period:  # a tiny negative phase rounds up to the period
-        params[2] = 0.0
-
-    jac = _jacobian(params, theta, omega) * sqrt_w[:, None]
-    normal = jac.T @ jac
-    try:
-        covariance = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        covariance = np.full((3, 3), np.inf)
-    chi2_reduced = ss[0] / (theta.size - 3)
-    return FitResult(
-        c=float(params[0]),
-        v=float(params[1]),
-        theta0=float(params[2]),
-        covariance=covariance,
-        chi2_reduced=float(chi2_reduced),
-        period=float(period),
-        converged=True,
-        n_points=int(theta.size),
-    )
+    rows = np.asarray(counts, dtype=float)[None]
+    return _raise_or_return(_fit_rows(theta, rows, period)[0])
 
 
 def fit_scan(data: ScanData, period: float = 180.0) -> FitResult:
     """Fit the fringe model to a simulated or parsed scan."""
-    return fit_sinusoid(data.angles, data.counts, period=period)
+    return _raise_or_return(fit_scans([data], period=period)[0])
+
+
+def fit_scans(scans, period: float = 180.0) -> list[FitResult | ValueError]:
+    """Fit the fringe model to scans that share one angle list, in one solve.
+
+    Returns:
+        One entry per scan, in order: its FitResult, or the ValueError that
+        fit_scan raises for it (a scan that cannot be fitted does not stop
+        the others).
+
+    Raises:
+        ValueError: For an unsupported period, or scans whose angle lists
+            differ.
+    """
+    scans = list(scans)
+    if not scans:
+        return []
+    angles = scans[0].angles
+    if any(scan.angles != angles for scan in scans):
+        raise ValueError("fit_scans needs scans that share one angle list")
+    rows = np.array([scan.counts for scan in scans], dtype=float)
+    return _fit_rows(np.array(angles, dtype=float), rows, period)
 
 
 def scan_metrics(fit: FitResult) -> ScanMetrics:

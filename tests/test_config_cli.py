@@ -149,6 +149,28 @@ def test_float_key_beyond_float_range_rejected_with_path(key, tmp_path):
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string conversion limit"
+)
+def test_integer_beyond_conversion_limit_rejected_with_file(tmp_path, capsys):
+    # json.loads rejects an integer of more than 4300 digits with a plain ValueError
+    text = '{"source": {"alpha_deg": 1%s}}' % ("0" * 5000)
+    with pytest.raises(ConfigError) as info:
+        loads_config(text, name="big.json")
+    assert str(info.value).startswith("big.json: Exceeds the limit (4300 digits)")
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: Exceeds the limit")
+
+
+def test_duplicate_key_message_is_not_rewrapped():
+    with pytest.raises(ConfigError) as info:
+        loads_config('{"seed": 1, "seed": 2}', name="dup.json")
+    assert str(info.value) == "duplicate key 'seed' in config"
+
+
 def test_detection_mean_cap_rejected_with_section():
     with pytest.raises(ConfigError) as info:
         loads_config('{"detection": {"pair_rate_cps": %r}}' % math.nextafter(MAX_MEAN, math.inf))
@@ -527,6 +549,44 @@ def test_cli_simulate_fit_all_zero_scan(tmp_path):
     row = next(r for r in rows if r["channel"] == 4 and r.get("theta_s_deg") == 90.0)
     assert "all zero" in row["error"]
     assert "fit_ch04_thetas_90.json" not in docs
+
+
+def test_cli_simulate_fit_batches_channels_and_fits(tmp_path, monkeypatch):
+    # 24 channels x 4 scans: one probability evaluation per channel, one fit
+    # for the whole run, and still one random stream per scan
+    import wdmqkd.cli as cli
+    import wdmqkd.detection as detection
+
+    calls = {"coincidence_probabilities": 0, "derive_stream": 0, "fit_scans": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(detection, "coincidence_probabilities")
+    counting(detection, "derive_stream")
+    counting(cli, "fit_scans")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": {"n_channels": 24}}))
+    out = tmp_path / "sim"
+    assert main(["simulate-fit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert calls == {"coincidence_probabilities": 24, "derive_stream": 96, "fit_scans": 1}
+    assert len(list(out.glob("scan_*.csv"))) == len(list(out.glob("fit_*.json"))) == 96
+
+
+def test_cli_out_naming_a_regular_file_is_an_io_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    for command in ("simulate-fit", "spectrum", "reproduce-figures"):
+        capsys.readouterr()
+        assert main([command, "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error:")
+    assert target.read_text() == "not a directory\n"
 
 
 def test_cli_theory_scan_peak_calls(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from wdmqkd import (
     scan_to_csv,
     simulate_counts,
     simulate_scan,
+    simulate_scans,
 )
 
 ANGLES = tuple(float(t) for t in range(0, 181, 10))
@@ -61,6 +62,48 @@ def test_simulate_scan_draws_from_one_stream(monkeypatch):
     monkeypatch.setattr(detection, "derive_stream", lambda *key: streams.append(key) or derive(*key))
     simulate_scan(BiphotonPureState(1.73, 0.0), ("signal", 45.0), ANGLES, DetectionConfig(seed=1))
     assert len(streams) == 1
+
+
+def _per_scan_counts(state, arm, theta, angles, config, channel_id):
+    """Counts of one scan drawn on its own: one probability call, one stream."""
+    settings = (theta, angles) if arm == "signal" else (angles, theta)
+    means = expected_mean(coincidence_probabilities(state, *settings), config)
+    key = ("signal", "idler").index(arm) * 180000 + angle_stream_key(theta)
+    order = np.argsort(angles, kind="stable")
+    counts = derive_stream(config.seed, channel_id, key).poisson(means[order])[np.argsort(order)]
+    return tuple(counts.tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+@pytest.mark.parametrize("arm", ["signal", "idler"])
+@pytest.mark.parametrize(
+    "state",
+    [BiphotonPureState(1.73, 0.3), BiphotonPureState.from_degrees(0.4, 200.0), ProductState()],
+    ids=["entangled", "entangled-phase", "product"],
+)
+def test_simulate_scans_equal_per_scan_draws(state, arm, seed):
+    config = DetectionConfig(seed=seed, accidental_rate=3.0)
+    fixed = (0.0, 45.0, 90.0, 135.0, 180.0, -30.0)
+    angles = (170.0, 0.0, 35.0, 90.0, 10.0, 180.0)  # unsorted on purpose
+    scans = simulate_scans(state, arm, fixed, angles, config, channel_id=5)
+    assert [(s.theta_fixed_arm, s.theta_fixed, s.angles) for s in scans] == [
+        (arm, theta, angles) for theta in fixed
+    ]
+    for theta, scan in zip(fixed, scans):
+        assert scan.counts == _per_scan_counts(state, arm, theta, angles, config, 5)
+        assert scan == simulate_scan(state, (arm, theta), angles, config, channel_id=5)
+
+
+def test_simulate_scans_one_probability_call(monkeypatch):
+    calls = []
+    probabilities = detection.coincidence_probabilities
+    monkeypatch.setattr(
+        detection, "coincidence_probabilities", lambda *a: calls.append(a) or probabilities(*a)
+    )
+    scans = simulate_scans(BiphotonPureState(1.0, 0.0), "idler", (0.0, 45.0, 90.0), ANGLES, DetectionConfig())
+    assert len(scans) == 3 and len(calls) == 1
+    with pytest.raises(ValueError, match="fixed arm"):
+        simulate_scans(BiphotonPureState(1.0, 0.0), "pump", (0.0,), ANGLES, DetectionConfig())
 
 
 def _residuals(state, theta_s, config):

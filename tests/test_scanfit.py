@@ -9,13 +9,17 @@ from wdmqkd import (
     BiphotonPureState,
     DetectionConfig,
     FitResult,
+    ScanData,
     fit_result_to_dict,
     fit_scan,
+    fit_scans,
     fit_sinusoid,
     scan_metrics,
     simulate_scan,
+    simulate_scans,
     visibility,
 )
+from wdmqkd.scanfit import _inverse_or_inf
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -208,3 +212,114 @@ def test_peak_at_zero_folds_below_period(c, v):
     fit = fit_sinusoid(ANGLES, fringe(ANGLES, c, v, 0.0))
     assert 0.0 <= fit.theta0 < 180.0
     assert min(fit.theta0, 180.0 - fit.theta0) < 1e-9
+
+
+def _lstsq_fit(theta, y, period):
+    """Reference: one weighted lstsq solve per scan, then the same mapping.
+
+    Returns (c, v, theta0, covariance, chi2_reduced).
+    """
+    omega = 2.0 * np.pi / period
+    sqrt_w = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    design = np.column_stack([np.ones_like(theta), np.cos(omega * theta), np.sin(omega * theta)])
+    (a, b, s), ss, rank, _ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=None)
+    assert rank == 3
+    c, v, theta0 = a, math.hypot(b, s) / a, math.atan2(s, b) / omega
+    if v < 0.0:
+        v, theta0 = -v, theta0 + period / 2.0
+    theta0 %= period
+    phase = omega * (theta - theta0)
+    jac = np.column_stack(
+        [1.0 + v * np.cos(phase), c * np.cos(phase), c * v * omega * np.sin(phase)]
+    ) * sqrt_w[:, None]
+    return c, v, theta0, np.linalg.inv(jac.T @ jac), ss[0] / (theta.size - 3)
+
+
+def _monte_carlo_scans(n_seeds):
+    """Four signal-fixed scans per seed, each seed with its own state."""
+    rng = np.random.default_rng(2024)
+    scans = []
+    for seed in range(n_seeds):
+        state = BiphotonPureState(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0 * np.pi))
+        config = DetectionConfig(seed=seed, pair_rate=rng.uniform(200.0, 20000.0), accidental_rate=2.0)
+        scans += simulate_scans(state, "signal", (0.0, 45.0, 90.0, 135.0), ANGLES, config, channel_id=seed)
+    return scans
+
+
+def _assert_fit_scans_match_lstsq(scans, period):
+    # tolerances: 1e-12 relative (covariance entries relative to their
+    # correlation scale sqrt(cov_ii * cov_jj)), theta0 within 1e-9 deg
+    fits = fit_scans(scans, period=period)
+    assert len(fits) == len(scans)
+    for scan, fit in zip(scans, fits):
+        assert isinstance(fit, FitResult)
+        theta, y = np.asarray(scan.angles), np.asarray(scan.counts, dtype=float)
+        c, v, theta0, covariance, chi2 = _lstsq_fit(theta, y, period)
+        assert fit.c == pytest.approx(c, rel=1e-12)
+        assert fit.v == pytest.approx(v, rel=1e-12)
+        assert fit.chi2_reduced == pytest.approx(chi2, rel=1e-12)
+        assert abs((fit.theta0 - theta0 + period / 2.0) % period - period / 2.0) <= 1e-9
+        errors = np.sqrt(np.diag(covariance))
+        assert (fit.c_err, fit.v_err, fit.theta0_err) == pytest.approx(tuple(errors), rel=1e-12)
+        assert np.all(np.abs(fit.covariance - covariance) <= 1e-12 * np.outer(errors, errors))
+
+
+def test_fit_scans_match_per_scan_lstsq():
+    _assert_fit_scans_match_lstsq(_monte_carlo_scans(80), 180.0)  # 320 scans in one call
+
+
+def test_fit_scans_match_per_scan_lstsq_full_turn_period():
+    # fringes recorded against a full-turn convention: period 360 over 0-360 deg
+    rng = np.random.default_rng(360)
+    theta = np.arange(0.0, 361.0, 20.0)
+    scans = []
+    for _ in range(320):
+        mean = fringe(theta, rng.uniform(100.0, 5000.0), rng.uniform(0.2, 0.95), rng.uniform(0.0, 360.0), 360.0)
+        scans.append(ScanData("signal", 0.0, tuple(theta), tuple(rng.poisson(mean))))
+    _assert_fit_scans_match_lstsq(scans, 360.0)
+
+
+def test_fit_scans_all_zero_row_fails_alone():
+    state = BiphotonPureState(1.73, 0.0)
+    good = simulate_scans(state, "signal", (0.0, 45.0), ANGLES, DetectionConfig(seed=3))
+    empty = ScanData("signal", 90.0, tuple(ANGLES), (0,) * len(ANGLES))
+    fits = fit_scans([good[0], empty, good[1]])
+    with pytest.raises(ValueError) as single:
+        fit_scan(empty)
+    assert isinstance(fits[1], ValueError)
+    assert str(fits[1]) == str(single.value) == "counts are all zero: an empty scan has no fringe to fit"
+    for scan, fit in ((good[0], fits[0]), (good[1], fits[2])):
+        alone = fit_scan(scan)
+        for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+            assert getattr(fit, name) == pytest.approx(getattr(alone, name), rel=1e-12)
+
+
+def test_fit_scans_covariances_are_separate_arrays():
+    scans = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (0.0, 45.0, 90.0), ANGLES, DetectionConfig(seed=8))
+    fits = fit_scans(scans)
+    for i, fit in enumerate(fits):
+        assert fit.covariance.shape == (3, 3)
+        assert fit.covariance.base is None
+        assert not any(np.shares_memory(fit.covariance, other.covariance) for other in fits[i + 1 :])
+    before = fits[1].covariance.copy()
+    fits[0].covariance[:] = 0.0
+    np.testing.assert_array_equal(fits[1].covariance, before)
+
+
+def test_fit_scans_input_checks():
+    scans = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig())
+    assert fit_scans([]) == []
+    other = simulate_scan(BiphotonPureState(1.0, 0.0), ("signal", 0.0), ANGLES[:-1], DetectionConfig())
+    with pytest.raises(ValueError, match="share one angle list"):
+        fit_scans([scans[0], other])
+    with pytest.raises(ValueError, match="period"):
+        fit_scans(scans, period=90.0)
+
+
+def test_singular_normal_matrix_gets_inf_covariance_alone():
+    regular = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 4.0]])
+    singular = np.diag([1.0, 2.0, 0.0])
+    inverse = _inverse_or_inf(np.stack([regular, singular, regular]))
+    assert np.all(np.isinf(inverse[1]))
+    np.testing.assert_allclose(inverse[0], np.linalg.inv(regular), rtol=1e-15)
+    np.testing.assert_array_equal(inverse[2], inverse[0])
