@@ -13,14 +13,11 @@ from .biphoton import (
     JointOutcomeDistribution,
     MeasurementSetting,
     ProductState,
-    coincidence_amplitude,
     coincidence_probability,
     coincidence_probabilities,
     correlation_E,
     joint_outcome_distribution,
-    product_probability,
     rate_expanded,
-    rate_product,
 )
 from .config import (
     ConfigError,
@@ -54,7 +51,6 @@ from .detection import (
     expected_mean,
     scan_from_csv,
     scan_to_csv,
-    simulate_counts,
     simulate_scan,
     simulate_scans,
 )

@@ -32,12 +32,9 @@ __all__ = [
     "PairState",
     "MeasurementSetting",
     "JointOutcomeDistribution",
-    "coincidence_amplitude",
     "coincidence_probability",
     "coincidence_probabilities",
     "rate_expanded",
-    "rate_product",
-    "product_probability",
     "joint_outcome_distribution",
     "correlation_E",
 ]
@@ -151,24 +148,6 @@ class JointOutcomeDistribution:
         return (self.p_tt, self.p_tr, self.p_rt, self.p_rr)
 
 
-def coincidence_amplitude(state: BiphotonPureState, setting: MeasurementSetting) -> complex:
-    """Projected two-photon amplitude behind the two polarizers.
-
-    Args:
-        state: Pair state (pure superposition model).
-        setting: Polarizer angles in degrees.
-
-    Returns:
-        Complex amplitude with magnitude <= 1; its squared magnitude is the
-        coincidence probability.
-    """
-    ts = math.radians(setting.theta_s)
-    ti = math.radians(setting.theta_i)
-    cross = state.f * cmath.exp(1j * state.alpha)
-    num = math.sin(ts) * math.cos(ti) + cross * math.cos(ts) * math.sin(ti)
-    return num / math.hypot(1.0, state.f)
-
-
 def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
     """Probabilities Tr(rho P_s x P_i) that both analyzers transmit.
 
@@ -220,16 +199,6 @@ def rate_expanded(f: float, alpha: float, setting: MeasurementSetting) -> float:
         + (1.0 + f2 - 2.0 * f * ca) / 4.0 * minus * minus
         + (1.0 - f2) / 2.0 * plus * minus
     )
-
-
-def rate_product(setting: MeasurementSetting) -> float:
-    """Fringe product sin^2(theta_s + 45) sin^2(theta_i + 45) of the +45 state."""
-    return coincidence_probability(ProductState(), setting)
-
-
-def product_probability(setting: MeasurementSetting) -> float:
-    """Normalized coincidence probability of the +45 product state."""
-    return coincidence_probability(ProductState(), setting)
 
 
 def joint_outcome_distribution(

@@ -7,7 +7,7 @@ Subcommands:
     qkd                per-channel key exchange and the multiplexed totals
     reproduce-figures  theory scans for the four standard parameter sets
 
-Every command takes --config/--seed/--out/--period, creates its output
+Every command takes --config/--seed/--out, creates its output
 directory once, writes its outputs plus a resolved-config echo into it, and
 is byte-deterministic under a fixed seed.  Exit status is 0 on success
 (degenerate scans are flagged in the summaries, not errors), 2 for a
@@ -38,7 +38,7 @@ from .config import (
 from .correlation import estimate_f, shift_table
 from .detection import scan_to_csv, simulate_scans
 from .qkd import report_to_dict, reports_to_csv, run_bbm92, wdm_aggregate
-from .scanfit import fit_result_to_dict, fit_scans, scan_metrics
+from .scanfit import PERIOD_DEG, fit_result_to_dict, fit_scans, scan_metrics
 from .spectral import SpectralChannel, channel_state
 
 __all__ = [
@@ -156,7 +156,7 @@ def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
         for ts, scan in zip(FIXED_SIGNAL_ANGLES_DEG, scans):
             rows.append({**head, "theta_s_deg": ts})
             scanned.append((f"ch{k:02d}_thetas_{_angle_label(ts)}", scan, rows[-1]))
-    fits = fit_scans([scan for _, scan, _ in scanned], period=cfg.fit_period)
+    fits = fit_scans([scan for _, scan, _ in scanned])
     out = _out_dir(cfg, out_dir)
     for (stem, scan, row), fit in zip(scanned, fits):
         (out / f"scan_{stem}.csv").write_text(scan_to_csv(scan))
@@ -174,7 +174,7 @@ def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
                 "converged": fit.converged,
             }
         )
-    summary = {"period_deg": cfg.fit_period, "rows": rows}
+    summary = {"period_deg": PERIOD_DEG, "rows": rows}
     _write_json(out / "simulate_fit_summary.json", summary)
     return summary
 
@@ -268,13 +268,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", metavar="DIR", default=None, help="override the output directory")
-    parser.add_argument(
-        "--period",
-        type=float,
-        choices=(180.0, 360.0),
-        default=None,
-        help="fringe period for fits, degrees",
-    )
 
 
 def _theory_scan(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -334,8 +327,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         )
     if args.out is not None:
         cfg = replace(cfg, out_dir=str(args.out))
-    if args.period is not None:
-        cfg = replace(cfg, fit_period=float(args.period))
     return cfg
 
 

@@ -4,7 +4,9 @@ A config file holds a master seed, an output directory, and four sections
 (source, detection, fit, qkd).  Every key is optional and defaults are
 filled in; unknown or duplicate keys are rejected with their dotted path so
 typos fail loudly instead of silently running defaults.  Angles and
-wavelengths in the file are degrees and nanometers.
+wavelengths in the file are degrees and nanometers.  The fit section's one
+key, period_deg, may only be 180 (``scanfit.PERIOD_DEG``); it is kept so
+that existing configs and echoes still load.
 
 Each section is one key table: file key -> (attribute, type).  The reader
 uses it to reject unknown keys and read each value typed and finite-checked,
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from .detection import DetectionConfig
 from .qkd import MAX_PAIRS, ProtocolConfig
+from .scanfit import PERIOD_DEG
 from .spectral import (
     DEFAULT_CHANNEL_COUNT,
     DEFAULT_CHANNEL_RANGE_NM,
@@ -97,7 +100,6 @@ class RunConfig:
     out_dir: str = "out"
     source: SourceConfig = SourceConfig()
     detection: DetectionConfig = DetectionConfig()
-    fit_period: float = 180.0
     qkd: ProtocolConfig = ProtocolConfig()
 
 
@@ -128,7 +130,6 @@ _DETECTION_KEYS = {
     "accidental_rate_cps": ("accidental_rate", float),
     "integration_time_s": ("integration_time", float),
 }
-_FIT_KEYS = {"period_deg": ("fit_period", float)}  # an attribute of RunConfig
 _QKD_KEYS = {"n_pairs": int, "flip_rectilinear": bool, "flip_diagonal": bool}
 
 
@@ -232,12 +233,11 @@ def _parse_qkd(section: dict, seed: int, path: str = "qkd.") -> ProtocolConfig:
     return _section(section, _QKD_KEYS, default, path)
 
 
-def _parse_fit(section: dict, path: str = "fit.") -> float:
-    _reject_unknown(section, _FIT_KEYS, path)
-    period = _read(section, _FIT_KEYS, RunConfig(), path)["fit_period"]
-    if period not in (180.0, 360.0):
-        raise ConfigError(f"key '{path}period_deg' must be 180 or 360, got {period}")
-    return period
+def _check_fit(section: dict, path: str = "fit.") -> None:
+    _reject_unknown(section, ("period_deg",), path)
+    period = _get(section, "period_deg", PERIOD_DEG, float, path)
+    if period != PERIOD_DEG:
+        raise ConfigError(f"key '{path}period_deg' must be 180, got {period}")
 
 
 def _build_run_config(raw: dict) -> RunConfig:
@@ -250,14 +250,11 @@ def _build_run_config(raw: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
     section = lambda key: _get(raw, key, {}, dict, "")
-    return RunConfig(
-        seed=seed,
-        out_dir=_get(raw, "out_dir", default.out_dir, str, ""),
-        source=_parse_source(section("source")),
-        detection=_section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection."),
-        fit_period=_parse_fit(section("fit")),
-        qkd=_parse_qkd(section("qkd"), seed),
-    )
+    out_dir = _get(raw, "out_dir", default.out_dir, str, "")
+    source = _parse_source(section("source"))
+    detection = _section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection.")
+    _check_fit(section("fit"))  # checked in the echo's section order; it holds nothing to keep
+    return RunConfig(seed, out_dir, source, detection, _parse_qkd(section("qkd"), seed))
 
 
 def _no_duplicates(pairs):
@@ -315,7 +312,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "out_dir": cfg.out_dir,
         "source": _echo(cfg.source, _SOURCE_KEYS),
         "detection": _echo(cfg.detection, _DETECTION_KEYS),
-        "fit": _echo(cfg, _FIT_KEYS),
+        "fit": {"period_deg": PERIOD_DEG},
         "qkd": _echo(cfg.qkd, _QKD_KEYS),
     }
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import MeasurementSetting, PairState, correlation_E, normalize_angle_deg
+from .biphoton import PairState, normalize_angle_deg
 
 # Pauli operators in the (H, V) basis.  A polarizer at theta measures
 # -cos(2 theta) sigma_z + sin(2 theta) sigma_x (transmit = +1).
@@ -209,15 +209,25 @@ def visibility(state: PairState, theta_s: float) -> float:
     return find_theta_max(state, theta_s).visibility
 
 
+def _correlation_tensor(state: PairState) -> np.ndarray:
+    """2x2 tensor T_jk = Tr(rho sigma_j x sigma_k) over (sigma_z, sigma_x)."""
+    rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']
+    return np.einsum("jca,kdb,abcd->jk", _PLANE_PAULIS, _PLANE_PAULIS, rho).real
+
+
+def _chsh(t: np.ndarray, settings: ChshSettings) -> float:
+    """S = n(a)^T T (n(b) - n(b')) + n(a')^T T (n(b) + n(b')) for the tensor t."""
+    angles = np.array([settings.a, settings.a_prime, settings.b, settings.b_prime])
+    if not np.isfinite(angles).all():
+        raise ValueError(f"CHSH analyzer angles must be finite, got {settings}")
+    two_theta = np.radians(2.0 * np.mod(angles, 180.0))
+    n_a, n_a_prime, n_b, n_b_prime = np.column_stack([-np.cos(two_theta), np.sin(two_theta)])
+    return float(n_a @ t @ (n_b - n_b_prime) + n_a_prime @ t @ (n_b + n_b_prime))
+
+
 def chsh_value(state: PairState, settings: ChshSettings) -> float:
-    """CHSH combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    e = lambda s, i: correlation_E(state, MeasurementSetting(s, i))
-    return (
-        e(settings.a, settings.b)
-        - e(settings.a, settings.b_prime)
-        + e(settings.a_prime, settings.b)
-        + e(settings.a_prime, settings.b_prime)
-    )
+    """CHSH combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), each E(a, b) = n(a)^T T n(b)."""
+    return _chsh(_correlation_tensor(state), settings)
 
 
 def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
@@ -234,8 +244,7 @@ def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     Returns:
         (settings, s_max) with s_max = chsh_value(state, settings) >= 0.
     """
-    rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']
-    t = np.einsum("jca,kdb,abcd->jk", _PLANE_PAULIS, _PLANE_PAULIS, rho).real
+    t = _correlation_tensor(state)
     u, (t1, t2), vt = np.linalg.svd(t)
     phi = math.atan2(t2, t1)
     along, across = math.cos(phi) * vt[0], math.sin(phi) * vt[1]
@@ -243,7 +252,7 @@ def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     settings = ChshSettings(
         angle(u[:, 1]), angle(u[:, 0]), angle(along + across), angle(along - across)
     )
-    return settings, chsh_value(state, settings)
+    return settings, _chsh(t, settings)
 
 
 def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:

@@ -31,7 +31,6 @@ __all__ = [
     "derive_stream",
     "angle_stream_key",
     "expected_mean",
-    "simulate_counts",
     "simulate_scan",
     "simulate_scans",
     "scan_to_csv",
@@ -137,11 +136,6 @@ def expected_mean(p, config: DetectionConfig):
         config.pair_rate * config.efficiency_signal * config.efficiency_idler * p
         + config.accidental_rate
     )
-
-
-def simulate_counts(p: float, config: DetectionConfig, rng: np.random.Generator) -> int:
-    """One Poisson draw of the coincidence counts at probability p."""
-    return int(rng.poisson(expected_mean(p, config)))
 
 
 def simulate_scans(

@@ -2,22 +2,23 @@
 
 The fit model is
 
-    counts(theta) = c * (1 + v * cos(2*pi*(theta - theta0) / period)),
+    counts(theta) = c * (1 + v * cos(2*pi*(theta - theta0) / PERIOD_DEG)),
 
-with the period fixed (180 deg by default, matching the physical fringe of a
-polarizer pair; 360 deg is supported for data recorded against a full-turn
-convention).  Points are weighted by max(counts, 1) as their Poisson
-variance.  With w = 2*pi/period the model is the linear model
-A + B*cos(w*theta) + C*sin(w*theta) in other coordinates, so the weighted
-least-squares optimum is one linear solve, mapped back by c = A,
-v = hypot(B, C)/A and theta0 = atan2(C, B)/w.  The parameter covariance is
-the inverse weighted normal matrix of (c, v, theta0) at the solution.
+with the period fixed at 180 deg, the fringe of a polarizer pair.  With
+w = 2*pi/PERIOD_DEG it is the linear model A + B*cos(w*theta) +
+C*sin(w*theta), so each weighted least-squares optimum is one linear solve,
+mapped back by c = A, v = hypot(B, C)/A and theta0 = atan2(C, B)/w.  The
+first solve takes max(counts, 1) as each point's Poisson variance, and two
+more take max(model counts, 1) of the previous solution, which moves the
+fit toward the Poisson likelihood (Baker & Cousins, NIM 221, 437 (1984)).
+The parameter covariance is the inverse weighted normal matrix of
+(c, v, theta0) at the solution.
 
 Scans that share one angle list are fitted together (``fit_scans``): the
 design matrix and its rank are computed once, the weighted least-squares
-problems are solved by one stacked SVD, and the covariances come from one
-stacked inverse.  ``fit_sinusoid`` and ``fit_scan`` are one-row calls of
-the same code.
+problems are solved by stacked QR decompositions, and the covariances come
+from one stacked inverse.  ``fit_sinusoid`` and ``fit_scan`` are one-row
+calls of the same code.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "fit_result_to_dict",
 ]
 
-SUPPORTED_PERIODS = (180.0, 360.0)
+PERIOD_DEG = 180.0  # fringe period of the fit model, degrees
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,14 @@ class FitResult:
         c: Baseline count level, model counts at zero visibility.
         v: Fringe visibility, canonicalized to >= 0 (and <= 1 for any
             physical fringe).
-        theta0: Phase of the cosine peak, degrees in [0, period).
+        theta0: Phase of the cosine peak, degrees in [0, PERIOD_DEG).
         covariance: 3x3 covariance of (c, v, theta0) from the weighted
             normal matrix; entries blow up (or become inf) when a parameter
             is unidentifiable, e.g. theta0 of a constant scan.
         chi2_reduced: Weighted residual sum over (n_points - 3).
-        period: Fit period in degrees.
-        converged: Always True for a returned fit: the solve does not
-            iterate, and input it cannot fit raises instead.
+        converged: Always True for a returned fit: the solves are a fixed
+            sequence with no convergence test, and input they cannot fit
+            raises instead.
         n_points: Number of fitted points.
     """
 
@@ -66,7 +67,6 @@ class FitResult:
     theta0: float
     covariance: np.ndarray
     chi2_reduced: float
-    period: float
     converged: bool
     n_points: int
 
@@ -103,28 +103,24 @@ def _inverse_or_inf(normal: np.ndarray) -> np.ndarray:
         return np.concatenate([_inverse_or_inf(normal[i : i + 1]) for i in range(len(normal))])
 
 
-def _shared_error(theta: np.ndarray, rows: np.ndarray, period: float) -> str | None:
+def _shared_error(theta: np.ndarray, rows: np.ndarray) -> str | None:
     """fit_sinusoid's message for angles that no row can be fitted at, or None."""
     if theta.ndim != 1 or rows.shape[1:] != theta.shape:
         return "theta_deg and counts must be 1-d arrays of equal length"
     if theta.size < 4:
         return f"need at least 4 points to fit 3 parameters, got {theta.size}"
     span = float(theta.max() - theta.min())
-    if span < period / 2.0 - 1e-9:
-        return f"angles span {span} deg but at least half a period ({period / 2.0} deg) is required"
+    if span < PERIOD_DEG / 2.0 - 1e-9:
+        return f"angles span {span} deg but at least half a period ({PERIOD_DEG / 2.0} deg) is required"
     return None
 
 
-def _fit_rows(
-    theta: np.ndarray, rows: np.ndarray, period: float
-) -> list[FitResult | ValueError]:
+def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueError]:
     """FitResult or ValueError for each row of counts rows[k] at the angles theta.
 
     A row's ValueError is the first of fit_sinusoid's checks it fails; the
     rows that pass are solved together.
     """
-    if period not in SUPPORTED_PERIODS:
-        raise ValueError(f"period must be one of {SUPPORTED_PERIODS}, got {period}")
     results = [None] * len(rows)
 
     def fail(bad: np.ndarray, message: str) -> bool:
@@ -139,37 +135,43 @@ def _fit_rows(
     finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1) & np.isfinite(theta).all()
     if fail(~finite, "theta_deg and counts must be finite"):
         return results
-    shared = _shared_error(theta, rows, period)
+    shared = _shared_error(theta, rows)
     if shared is not None:
         fail(every_row, shared)
         return results
     fail((rows < 0.0).any(axis=1), "counts must be >= 0")
     if fail(~(rows > 0.0).any(axis=1), "counts are all zero: an empty scan has no fringe to fit"):
         return results
-    omega = 2.0 * np.pi / period  # radians per degree of scan angle
+    omega = 2.0 * np.pi / PERIOD_DEG  # radians per degree of scan angle
     design = np.column_stack([np.ones_like(theta), np.cos(omega * theta), np.sin(omega * theta)])
     # Positive weights leave the rank as it is, so it is the design's, found once.
     rank = np.linalg.matrix_rank(design)
     if rank < 3:
-        fail(every_row, f"theta_deg needs at least 3 distinct angles modulo {period} deg; "
+        fail(every_row, f"theta_deg needs at least 3 distinct angles modulo {PERIOD_DEG} deg; "
              f"the fit's design matrix has rank {rank}")
         return results
 
     good = [k for k, result in enumerate(results) if result is None]
-    y = rows[good]
-    sqrt_w = 1.0 / np.sqrt(np.maximum(y, 1.0))
-    weighted = design * sqrt_w[:, :, None]
-    target = y * sqrt_w
-    u, sv, vt = np.linalg.svd(weighted, full_matrices=False)
-    solution = np.einsum("kji,kj->ki", vt, np.einsum("kni,kn->ki", u, target) / sv)
+    y = variance = rows[good]
+    for _ in range(3):  # weighted by the counts, then twice by the previous model
+        sqrt_w = 1.0 / np.sqrt(np.maximum(variance, 1.0))
+        weighted = design * sqrt_w[:, :, None]
+        target = y * sqrt_w
+        q, r = np.linalg.qr(weighted)
+        solve = lambda rhs: np.linalg.solve(r, np.einsum("kni,kn->ki", q, rhs)[..., None])[..., 0]
+        solution = solve(target)
+        # One refinement step: the next weights, 1/model, would magnify this
+        # solve's rounding wherever the model is only a few counts.
+        solution += solve(target - np.einsum("kni,ki->kn", weighted, solution))
+        variance = solution @ design.T
     residual = target - np.einsum("kni,ki->kn", weighted, solution)
     chi2_reduced = (residual**2).sum(axis=1) / (theta.size - 3)
 
-    # Canonical form: positive visibility, phase folded into [0, period).
+    # Canonical form: positive visibility, phase folded into [0, PERIOD_DEG).
     a, b, s = solution.T
     c, v, theta0 = a, np.hypot(b, s) / a, np.arctan2(s, b) / omega
-    theta0 = np.where(v < 0.0, theta0 + period / 2.0, theta0) % period
-    theta0[theta0 == period] = 0.0  # a tiny negative phase rounds up to the period
+    theta0 = np.where(v < 0.0, theta0 + PERIOD_DEG / 2.0, theta0) % PERIOD_DEG
+    theta0[theta0 == PERIOD_DEG] = 0.0  # a tiny negative phase rounds up to the period
     v = np.abs(v)
 
     phase = omega * (theta - theta0[:, None])
@@ -177,11 +179,16 @@ def _fit_rows(
     jac = np.stack(
         [1.0 + v[:, None] * cos_ph, c[:, None] * cos_ph, (c * v * omega)[:, None] * sin_ph], axis=-1
     ) * sqrt_w[:, :, None]
-    covariance = _inverse_or_inf(np.matmul(jac.transpose(0, 2, 1), jac))
+    normal = np.matmul(jac.transpose(0, 2, 1), jac)
+    # Inverted at unit diagonal, so that a near-zero correlation keeps its accuracy.
+    scale = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
+    scale[scale == 0.0] = 1.0
+    outer = scale[:, :, None] * scale[:, None, :]
+    covariance = _inverse_or_inf(normal / outer) / outer
     for k, ck, vk, tk, cov, chi2 in zip(
         good, c.tolist(), v.tolist(), theta0.tolist(), covariance, chi2_reduced.tolist()
     ):
-        results[k] = FitResult(ck, vk, tk, cov.copy(), chi2, float(period), True, int(theta.size))
+        results[k] = FitResult(ck, vk, tk, cov.copy(), chi2, True, int(theta.size))
     return results
 
 
@@ -191,35 +198,34 @@ def _raise_or_return(result):
     return result
 
 
-def fit_sinusoid(theta_deg, counts, period: float = 180.0) -> FitResult:
+def fit_sinusoid(theta_deg, counts) -> FitResult:
     """Fit the fringe model to (angle, counts) data.
 
     Args:
         theta_deg: Scanned angles in degrees.
         counts: Counts per angle; floats are accepted so exact model data
             round-trips without quantization.
-        period: Fringe period in degrees, 180 or 360.
 
     Returns:
-        FitResult in canonical form (v >= 0, theta0 in [0, period)).
+        FitResult in canonical form (v >= 0, theta0 in [0, PERIOD_DEG)).
 
     Raises:
-        ValueError: For an unsupported period, non-finite angles or counts,
-            fewer than 4 points, an angle span below half a period, negative
-            or all-zero counts, or fewer than 3 distinct angles modulo the
-            period (a rank-deficient solve).
+        ValueError: For non-finite angles or counts, fewer than 4 points,
+            an angle span below half a period, negative or all-zero counts,
+            or fewer than 3 distinct angles modulo the period (a
+            rank-deficient solve).
     """
     theta = np.asarray(theta_deg, dtype=float)
     rows = np.asarray(counts, dtype=float)[None]
-    return _raise_or_return(_fit_rows(theta, rows, period)[0])
+    return _raise_or_return(_fit_rows(theta, rows)[0])
 
 
-def fit_scan(data: ScanData, period: float = 180.0) -> FitResult:
+def fit_scan(data: ScanData) -> FitResult:
     """Fit the fringe model to a simulated or parsed scan."""
-    return _raise_or_return(fit_scans([data], period=period)[0])
+    return _raise_or_return(fit_scans([data])[0])
 
 
-def fit_scans(scans, period: float = 180.0) -> list[FitResult | ValueError]:
+def fit_scans(scans) -> list[FitResult | ValueError]:
     """Fit the fringe model to scans that share one angle list, in one solve.
 
     Returns:
@@ -228,8 +234,7 @@ def fit_scans(scans, period: float = 180.0) -> list[FitResult | ValueError]:
         the others).
 
     Raises:
-        ValueError: For an unsupported period, or scans whose angle lists
-            differ.
+        ValueError: For scans whose angle lists differ.
     """
     scans = list(scans)
     if not scans:
@@ -238,17 +243,13 @@ def fit_scans(scans, period: float = 180.0) -> list[FitResult | ValueError]:
     if any(scan.angles != angles for scan in scans):
         raise ValueError("fit_scans needs scans that share one angle list")
     rows = np.array([scan.counts for scan in scans], dtype=float)
-    return _fit_rows(np.array(angles, dtype=float), rows, period)
+    return _fit_rows(np.array(angles, dtype=float), rows)
 
 
 def scan_metrics(fit: FitResult) -> ScanMetrics:
-    """Peak position and visibility of a fitted scan.
-
-    The cosine peak sits at theta0; polarizer axes are 180-deg periodic, so
-    the peak is reported in [0, 180) regardless of the fit period.
-    """
+    """Peak position and visibility of a fitted scan; the cosine peak sits at theta0."""
     return ScanMetrics(
-        theta_max=fit.theta0 % 180.0,
+        theta_max=fit.theta0,
         theta_max_err=fit.theta0_err,
         visibility=fit.v,
         visibility_err=fit.v_err,
@@ -261,7 +262,7 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "c": fit.c,
         "v": fit.v,
         "theta0_deg": fit.theta0,
-        "period_deg": fit.period,
+        "period_deg": PERIOD_DEG,
         "c_err": fit.c_err,
         "v_err": fit.v_err,
         "theta0_err_deg": fit.theta0_err,

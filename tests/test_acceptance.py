@@ -147,7 +147,7 @@ def test_acceptance_06_chsh():
 def test_acceptance_07_fit_round_trip():
     theta = np.asarray(SCAN_ANGLES)
     y = 100.0 * (1.0 + 0.9 * np.cos(2.0 * np.pi * (theta - 20.0) / 180.0))
-    fit = fit_sinusoid(theta, y, period=180.0)
+    fit = fit_sinusoid(theta, y)
     assert abs(fit.c - 100.0) / 100.0 <= 1e-6
     assert abs(fit.v - 0.9) / 0.9 <= 1e-6
     assert abs(fit.theta0 - 20.0) / 20.0 <= 1e-6

@@ -1,4 +1,4 @@
-"""Core state model: amplitudes, probabilities, joint outcome distributions.
+"""Core state model: probabilities, joint outcome distributions.
 
 The independent oracle here evaluates the Born rule by explicit state-vector
 contraction in the two-qubit polarization space, a different code path from
@@ -15,13 +15,11 @@ from wdmqkd import (
     JointOutcomeDistribution,
     MeasurementSetting,
     ProductState,
-    coincidence_amplitude,
+    coincidence_probabilities,
     coincidence_probability,
     correlation_E,
     joint_outcome_distribution,
-    product_probability,
     rate_expanded,
-    rate_product,
 )
 from wdmqkd.biphoton import normalize_angle_deg
 
@@ -48,38 +46,34 @@ def product_oracle(theta_s_deg, theta_i_deg):
 
 
 def test_amplitude_matches_oracle_on_random_inputs():
+    # the Born rule on rho equals |amplitude|^2 of the explicit contraction
     rng = np.random.default_rng(11)
     for _ in range(300):
         f = rng.uniform(0.0, 4.0)
         alpha = rng.uniform(0.0, 2.0 * np.pi)
         ts = rng.uniform(-360.0, 360.0)
         ti = rng.uniform(-360.0, 360.0)
-        state = BiphotonPureState(f, alpha)
-        amp = coincidence_amplitude(state, MeasurementSetting(ts, ti))
-        want = amplitude_oracle(f, alpha, ts % 180.0, ti % 180.0)
-        assert amp == pytest.approx(want, abs=1e-12)
+        p = coincidence_probabilities(BiphotonPureState(f, alpha), ts, ti)
+        want = abs(amplitude_oracle(f, alpha, ts % 180.0, ti % 180.0)) ** 2
+        assert p == pytest.approx(want, abs=1e-12)
 
 
 def test_amplitude_frozen_values():
     state = BiphotonPureState(1.0, 0.0)
-    assert coincidence_amplitude(state, MeasurementSetting(0.0, 0.0)) == 0.0
-    assert coincidence_amplitude(state, MeasurementSetting(0.0, 90.0)) == pytest.approx(
-        1.0 / math.sqrt(2.0), abs=1e-15
-    )
-    # oracle-computed, not a rounded headline number
-    amp = coincidence_amplitude(BiphotonPureState(1.73, 0.0), MeasurementSetting(45.0, 45.0))
-    assert amp == pytest.approx(0.6831065263076868, abs=1e-13)
-    assert amp.imag == 0.0
+    assert coincidence_probabilities(state, 0.0, 0.0) == 0.0
+    assert coincidence_probabilities(state, 0.0, 90.0) == pytest.approx(0.5, abs=1e-15)
+    # oracle-computed, not a rounded headline number: the squared amplitude
+    # 0.6831065263076868 of the contraction
+    p = coincidence_probabilities(BiphotonPureState(1.73, 0.0), 45.0, 45.0)
+    assert p == pytest.approx(0.6831065263076868**2, abs=1e-13)
 
 
 def test_amplitude_magnitude_bounded():
     rng = np.random.default_rng(12)
     for _ in range(500):
         state = BiphotonPureState(rng.uniform(0, 4), rng.uniform(0, 2 * np.pi))
-        amp = coincidence_amplitude(
-            state, MeasurementSetting(rng.uniform(0, 180), rng.uniform(0, 180))
-        )
-        assert abs(amp) <= 1.0 + 1e-12
+        p = coincidence_probabilities(state, rng.uniform(0, 180), rng.uniform(0, 180))
+        assert abs(p) <= 1.0 + 1e-12
 
 
 def test_probability_frozen_value():
@@ -147,9 +141,10 @@ def test_rate_expanded_rejects_negative_f():
 
 
 def test_product_rate_values():
-    assert rate_product(MeasurementSetting(45.0, 45.0)) == pytest.approx(1.0, abs=1e-12)
-    assert rate_product(MeasurementSetting(0.0, 0.0)) == pytest.approx(0.25, abs=1e-12)
-    assert rate_product(MeasurementSetting(135.0, 20.0)) == pytest.approx(0.0, abs=1e-12)
+    product = ProductState()
+    assert coincidence_probabilities(product, 45.0, 45.0) == pytest.approx(1.0, abs=1e-12)
+    assert coincidence_probabilities(product, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert coincidence_probabilities(product, 135.0, 20.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_product_probability_is_normalized_joint():
@@ -157,7 +152,7 @@ def test_product_probability_is_normalized_joint():
     state = ProductState()
     for _ in range(200):
         setting = MeasurementSetting(rng.uniform(0, 180), rng.uniform(0, 180))
-        assert product_probability(setting) == pytest.approx(
+        assert coincidence_probabilities(state, setting.theta_s, setting.theta_i) == pytest.approx(
             product_oracle(setting.theta_s, setting.theta_i), abs=1e-12
         )
         dist = joint_outcome_distribution(state, setting)

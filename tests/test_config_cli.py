@@ -1,9 +1,11 @@
 """Config parsing/validation and the command-line front end."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ def test_defaults():
     assert cfg.source.n_channels == 8
     assert (cfg.source.lambda_min_nm, cfg.source.lambda_max_nm) == (860.0, 874.0)
     assert cfg.detection.pair_rate == 2000.0
-    assert cfg.fit_period == 180.0
+    assert config_to_dict(cfg)["fit"] == {"period_deg": 180.0}
     assert cfg.qkd.n_pairs == 100_000
     assert cfg.qkd.flip_rectilinear is True
 
@@ -223,7 +225,7 @@ def test_config_echo_round_trip(tmp_path):
             "out_dir": "elsewhere",
             "source": {"alpha_deg": 60.0, "n_channels": 3, "hv_profile": {"peak_cps": 1500.0}},
             "detection": {"pair_rate_cps": 750.0, "accidental_rate_cps": 2.0},
-            "fit": {"period_deg": 360.0},
+            "fit": {"period_deg": 180.0},
             "qkd": {"n_pairs": 2000, "flip_diagonal": True},
         }
     )
@@ -233,6 +235,31 @@ def test_config_echo_round_trip(tmp_path):
     assert again == cfg
     # alpha round trips exactly because the config stores degrees
     assert again.source.alpha_deg == 60.0
+
+
+def test_fit_section_still_loads_with_its_one_value(tmp_path, monkeypatch):
+    # existing configs, echoes and the benchmark's own config keep the key
+    assert loads_config('{"fit": {"period_deg": 180}}') == default_run_config()
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        plan = json.loads(workloads.make_inputs(workload, 1, 1.0, tmp_path / workload).read_text())
+        assert config_to_dict(load_config(plan["config"]))["fit"] == {"period_deg": 180.0}
+    with pytest.raises(ConfigError, match=r"fit\.period_deg"):
+        loads_config('{"fit": {"period_deg": 360.0}}')
+
+
+def test_period_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate-fit", "--period", "360", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wdmqkd")
+    assert "wdmqkd: error: unrecognized arguments: --period 360" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_from_file(tmp_path):
@@ -314,8 +341,8 @@ SINGLE_FAULT_MESSAGES = [
     ('{"source": {"pump_nm": 870.0}}', "key 'source.lambda_min_nm' (860.0) must exceed the pump wavelength (870.0)"),
     ('{"detection": {"efficiency_signal": 1.4}}', "section 'detection': efficiency_signal must be in [0, 1], got 1.4"),
     ('{"detection": {"efficiency_idler": -0.1}}', "section 'detection': efficiency_idler must be in [0, 1], got -0.1"),
-    ('{"fit": {"period_deg": 90.0}}', "key 'fit.period_deg' must be 180 or 360, got 90.0"),
-    ('{"fit": {"period_deg": 90}}', "key 'fit.period_deg' must be 180 or 360, got 90.0"),
+    ('{"fit": {"period_deg": 90.0}}', "key 'fit.period_deg' must be 180, got 90.0"),
+    ('{"fit": {"period_deg": 90}}', "key 'fit.period_deg' must be 180, got 90.0"),
     ('{"qkd": {"n_pairs": "x"}}', "key 'qkd.n_pairs' must be of type int, got 'x'"),
     ('{"qkd": {"n_pairs": 0}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 0"),
     ('{"qkd": {"n_pairs": -1}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got -1"),
@@ -400,7 +427,7 @@ def _legal_configs(draw):
                 accidental_rate_cps=_number(0.0),
                 integration_time_s=_number(0.0, exclude_min=True),
             ),
-            fit=_section(period_deg=st.sampled_from([180.0, 360.0, 180, 360])),
+            fit=_section(period_deg=st.sampled_from([180.0, 180])),
             qkd=_section(
                 n_pairs=st.integers(1, MAX_PAIRS),
                 flip_rectilinear=st.booleans(),

@@ -239,15 +239,16 @@ def test_chsh_optimize_closed_form_random_states():
 
 
 def test_chsh_optimize_correlation_calls(monkeypatch):
+    # T is built once per call, and S is read from that same T
     import wdmqkd.correlation as correlation
 
     calls = []
-    original = correlation.correlation_E
-    monkeypatch.setattr(correlation, "correlation_E", lambda *a: calls.append(a) or original(*a))
+    original = correlation._correlation_tensor
+    monkeypatch.setattr(correlation, "_correlation_tensor", lambda *a: calls.append(a) or original(*a))
     for state in (BiphotonPureState(1.73, 0.4), ProductState()):
         calls.clear()
         chsh_optimize(state)
-        assert 0 < len(calls) <= 8
+        assert len(calls) == 1
 
 
 def test_chsh_never_exceeds_tsirelson():
@@ -278,7 +279,9 @@ def test_separable_chsh_max_equals_brute_force():
 
 
 def test_correlation_product_form_consistency():
-    # chsh_value consumes correlation_E; spot-check the sign pattern
+    # chsh_value contracts the tensor T; correlation_E reaches each E through
+    # the four-outcome distribution instead.  Spot-check the sign pattern,
+    # then random states and angles.
     state = BiphotonPureState(1.0, 0.0)
     settings = ChshSettings(a=10.0, a_prime=55.0, b=77.5, b_prime=32.5)
     manual = (
@@ -288,6 +291,19 @@ def test_correlation_product_form_consistency():
         + correlation_E(state, MeasurementSetting(55.0, 32.5))
     )
     assert chsh_value(state, settings) == pytest.approx(manual, abs=1e-12)
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        state = BiphotonPureState(rng.uniform(0, 4), rng.uniform(0, 2 * np.pi))
+        a, a_prime, b, b_prime = rng.uniform(-360.0, 360.0, size=4)
+        e = lambda s, i: correlation_E(state, MeasurementSetting(s, i))
+        want = e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime)
+        assert chsh_value(state, ChshSettings(a, a_prime, b, b_prime)) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chsh_value_rejects_non_finite_angle(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        chsh_value(ProductState(), ChshSettings(0.0, 45.0, bad, 67.5))
 
 
 def test_estimate_f_ratio_conventions():
