@@ -12,6 +12,7 @@ from .biphoton import (
     BiphotonPureState,
     JointOutcomeDistribution,
     MeasurementSetting,
+    PairState,
     ProductState,
     coincidence_probability,
     coincidence_probabilities,
@@ -49,7 +50,6 @@ from .detection import (
     angle_stream_key,
     derive_stream,
     expected_mean,
-    scan_from_csv,
     scan_to_csv,
     simulate_scan,
     simulate_scans,
@@ -79,7 +79,7 @@ from .spectral import (
     DEFAULT_CHANNEL_COUNT,
     DEFAULT_CHANNEL_RANGE_NM,
     DEFAULT_PUMP_NM,
-    PumpConfig,
+    RATIO_CONVENTIONS,
     SpectralChannel,
     SpectralProfile,
     TabulatedSpectrum,

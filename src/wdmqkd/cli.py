@@ -68,9 +68,9 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(cfg: RunConfig, out_dir: Path | None = None) -> Path:
+def _out_dir(cfg: RunConfig) -> Path:
     """A command's output directory, created (with its parents) if missing."""
-    out = Path(cfg.out_dir if out_dir is None else out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -92,7 +92,6 @@ def cmd_theory_scan(
     alpha_deg: float | None = None,
     theta_s_list=None,
     product: bool = False,
-    out_dir: Path | None = None,
 ) -> dict:
     """Write analytic scan curves and the peak-shift summary.
 
@@ -111,7 +110,7 @@ def cmd_theory_scan(
         described = {"kind": "entangled", "f": state.f, "alpha_deg": math.degrees(state.alpha)}
     thetas = tuple(theta_s_list) if theta_s_list else (0.0, 45.0, 135.0)
     grid = np.arange(0.0, 180.0, 1.0).tolist()
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg)
     for ts in thetas:
         rates = coincidence_probabilities(state, ts, grid).tolist()
         lines = ["theta_i_deg,rate", *(f"{ti!r},{p!r}" for ti, p in zip(grid, rates))]
@@ -132,7 +131,7 @@ def cmd_theory_scan(
     return summary
 
 
-def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
+def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
     """Simulate idler scans per channel and fixed signal angle, then fit them.
 
     Each channel's scans are simulated in one call, and the whole run's
@@ -157,7 +156,7 @@ def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
             rows.append({**head, "theta_s_deg": ts})
             scanned.append((f"ch{k:02d}_thetas_{_angle_label(ts)}", scan, rows[-1]))
     fits = fit_scans([scan for _, scan, _ in scanned])
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg)
     for (stem, scan, row), fit in zip(scanned, fits):
         (out / f"scan_{stem}.csv").write_text(scan_to_csv(scan))
         if isinstance(fit, ValueError):
@@ -179,7 +178,7 @@ def cmd_simulate_and_fit(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     return summary
 
 
-def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
+def cmd_spectrum(cfg: RunConfig) -> list[dict]:
     """Write the per-channel wavelength/rate table with both ratio readings.
 
     A dark channel (both rates zero) has no ratio; its readings are NaN.
@@ -206,11 +205,11 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None = None) -> list[dict]:
             f"{channel.lambda_signal!r},{channel.lambda_idler!r},{channel.rate_HV!r},"
             f"{channel.rate_VH!r},{f_hat!r},{f_hat_inv!r}"
         )
-    (_out_dir(cfg, out_dir) / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    (_out_dir(cfg) / "spectrum.csv").write_text("\n".join(lines) + "\n")
     return rows
 
 
-def cmd_qkd(cfg: RunConfig, out_dir: Path | None = None) -> dict:
+def cmd_qkd(cfg: RunConfig) -> dict:
     """Run the key exchange on every channel and write reports plus totals."""
     channels = source_channels(cfg.source)
     reports = []
@@ -220,7 +219,7 @@ def cmd_qkd(cfg: RunConfig, out_dir: Path | None = None) -> dict:
             run_bbm92(state, cfg.qkd, channel_id=k, lambda_signal=channel.lambda_signal)
         )
     summary = wdm_aggregate(reports)
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg)
     (out / "key_reports.csv").write_text(reports_to_csv(summary.channels))
     _write_json(out / "key_reports.json", [report_to_dict(r) for r in summary.channels])
     totals = {
@@ -232,24 +231,22 @@ def cmd_qkd(cfg: RunConfig, out_dir: Path | None = None) -> dict:
     return totals
 
 
-def cmd_reproduce_figures(cfg: RunConfig, out_dir: Path | None = None) -> dict:
+def cmd_reproduce_figures(cfg: RunConfig) -> dict:
     """Regenerate the analytic curves behind the standard model plots.
 
     Runs theory-scan for the four parameter sets (f, alpha_deg) =
     (1, 0), (1, 180), (1, 60), (1.73, 0) at signal angles 0/45/90/135 and
     collects the peak shifts into one summary.
     """
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg)
     collected = {}
     for name, f, alpha_deg in FIGURE_SETS:
-        summary = cmd_theory_scan(
-            cfg,
+        collected[name] = cmd_theory_scan(
+            replace(cfg, out_dir=str(out / name)),
             f=f,
             alpha_deg=alpha_deg,
             theta_s_list=FIXED_SIGNAL_ANGLES_DEG,
-            out_dir=out / name,
         )
-        collected[name] = summary
     _write_json(out / "figure_summary.json", collected)
     return collected
 
@@ -321,7 +318,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = replace(
             cfg,
-            seed=args.seed,
             detection=replace(cfg.detection, seed=args.seed),
             qkd=replace(cfg.qkd, seed=args.seed),
         )

@@ -1,12 +1,14 @@
 """Run configuration: a documented JSON key set with strict validation.
 
 A config file holds a master seed, an output directory, and four sections
-(source, detection, fit, qkd).  Every key is optional and defaults are
-filled in; unknown or duplicate keys are rejected with their dotted path so
-typos fail loudly instead of silently running defaults.  Angles and
-wavelengths in the file are degrees and nanometers.  The fit section's one
-key, period_deg, may only be 180 (``scanfit.PERIOD_DEG``); it is kept so
-that existing configs and echoes still load.
+(source, detection, fit, qkd).  The master seed is stored only as the seed
+of the detection and qkd sections; ``RunConfig.seed`` reads it back.  Every
+key is optional and defaults are filled in; unknown or duplicate keys are
+rejected with their dotted path so typos fail loudly instead of silently
+running defaults.  Angles and wavelengths in the file are degrees and
+nanometers.  The fit section's one key, period_deg, may only be 180
+(``scanfit.PERIOD_DEG``); it is kept so that existing configs and echoes
+still load.
 
 Each section is one key table: file key -> (attribute, type).  The reader
 uses it to reject unknown keys and read each value typed and finite-checked,
@@ -33,7 +35,6 @@ from .spectral import (
     DEFAULT_PUMP_NM,
     MAX_CHANNELS,
     RATIO_CONVENTIONS,
-    PumpConfig,
     SpectralChannel,
     SpectralProfile,
     TabulatedSpectrum,
@@ -96,11 +97,15 @@ class SourceConfig:
 class RunConfig:
     """Fully resolved run configuration."""
 
-    seed: int = 0
     out_dir: str = "out"
     source: SourceConfig = SourceConfig()
     detection: DetectionConfig = DetectionConfig()
     qkd: ProtocolConfig = ProtocolConfig()
+
+    @property
+    def seed(self) -> int:
+        """The master seed; the detection and qkd sections carry it."""
+        return self.detection.seed
 
 
 # Key tables, one per section: file key -> (attribute, type), or just the
@@ -254,7 +259,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     source = _parse_source(section("source"))
     detection = _section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection.")
     _check_fit(section("fit"))  # checked in the echo's section order; it holds nothing to keep
-    return RunConfig(seed, out_dir, source, detection, _parse_qkd(section("qkd"), seed))
+    return RunConfig(out_dir, source, detection, _parse_qkd(section("qkd"), seed))
 
 
 def _no_duplicates(pairs):
@@ -293,9 +298,9 @@ def load_config(path) -> RunConfig:
     return loads_config(text, name=str(path))
 
 
-def default_run_config(seed: int = 0, out_dir: str = "out") -> RunConfig:
+def default_run_config() -> RunConfig:
     """RunConfig with every key at its default."""
-    return _build_run_config({"seed": seed, "out_dir": out_dir})
+    return RunConfig()
 
 
 def _echo(obj, keys: dict) -> dict:
@@ -323,7 +328,7 @@ def source_channels(source: SourceConfig) -> tuple[SpectralChannel, ...]:
         alpha=math.radians(source.alpha_deg),
         lambda_range=(source.lambda_min_nm, source.lambda_max_nm),
         n_channels=source.n_channels,
-        pump=PumpConfig(source.pump_nm),
+        pump_nm=source.pump_nm,
     )
     if source.spectrum_csv is not None:
         return build_channels_from_table(TabulatedSpectrum.from_csv(source.spectrum_csv), **grid)

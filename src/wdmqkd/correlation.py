@@ -111,6 +111,8 @@ class FEstimate:
 
 def signed_angle_difference(theta: float, reference: float) -> float:
     """Minimal signed difference theta - reference on the 180-deg circle, in (-90, 90]."""
+    if not (math.isfinite(theta) and math.isfinite(reference)):
+        raise ValueError(f"angles must be finite, got theta={theta}, reference={reference}")
     d = (theta - reference) % 180.0
     if d > 90.0:
         d -= 180.0
@@ -263,10 +265,10 @@ def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:
     fix which term is which, the reciprocal reading is returned alongside.
 
     Raises:
-        ValueError: If a rate is negative or both rates are zero.
+        ValueError: If a rate is negative or not finite, or both rates are zero.
     """
-    if rate_HV < 0.0 or rate_VH < 0.0:
-        raise ValueError(f"rates must be >= 0, got ({rate_HV}, {rate_VH})")
+    if not (0.0 <= rate_HV < math.inf and 0.0 <= rate_VH < math.inf):
+        raise ValueError(f"rates must be finite and >= 0, got (rate_HV={rate_HV}, rate_VH={rate_VH})")
     if rate_HV == 0.0 and rate_VH == 0.0:
         raise ValueError("both rates are zero, amplitude ratio is undefined")
     f_hat = math.sqrt(rate_VH / rate_HV) if rate_HV > 0.0 else math.inf

@@ -34,7 +34,6 @@ __all__ = [
     "simulate_scan",
     "simulate_scans",
     "scan_to_csv",
-    "scan_from_csv",
 ]
 
 SCAN_ARMS = ("signal", "idler")
@@ -76,9 +75,13 @@ class DetectionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {eff}")
         if not 0.0 < self.integration_time < math.inf:
             raise ValueError(f"integration_time must be finite and > 0, got {self.integration_time}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        try:
+            seed = int(self.seed)
+        except (TypeError, ValueError, OverflowError):  # e.g. NaN or inf
+            seed = -1
+        if seed != self.seed or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
         peak = expected_mean(1.0, self)
         if not peak <= MAX_MEAN:
             raise ValueError(
@@ -89,7 +92,7 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class ScanData:
-    """Simulated (or parsed) counts of one polarizer scan.
+    """Simulated counts of one polarizer scan.
 
     Attributes:
         theta_fixed_arm: Which arm is held fixed, 'signal' or 'idler'.
@@ -120,6 +123,8 @@ class ScanData:
 
 def angle_stream_key(theta_deg: float) -> int:
     """Integer stream key of a scan angle: millidegrees in [0, 180000)."""
+    if not math.isfinite(theta_deg):
+        raise ValueError(f"scan angle theta_deg must be finite, got {theta_deg}")
     return int(round(normalize_angle_deg(theta_deg) * 1000.0)) % 180000
 
 
@@ -207,45 +212,3 @@ def scan_to_csv(scan: ScanData) -> str:
         lines.append(f"{theta!r},{count}")
     return "\n".join(lines) + "\n"
 
-
-def scan_from_csv(text: str) -> ScanData:
-    """Parse scan CSV text produced by scan_to_csv.
-
-    Only the serialized fields are recovered; detection parameters other
-    than the seed are not part of the format and come back as defaults.
-    """
-    meta: dict[str, str] = {}
-    angles: list[float] = []
-    counts: list[int] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("#").strip().partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != "theta_deg,counts":
-                raise ValueError(f"line {lineno}: expected header 'theta_deg,counts', got {line!r}")
-            header_seen = True
-            continue
-        try:
-            theta_str, count_str = line.split(",")
-            angles.append(float(theta_str))
-            counts.append(int(count_str))
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed scan row {line!r}") from None
-    if not header_seen:
-        raise ValueError("scan CSV has no 'theta_deg,counts' header")
-    missing = [k for k in ("fixed_arm", "fixed_theta_deg", "seed") if k not in meta]
-    if missing:
-        raise ValueError(f"scan CSV lacks metadata: {', '.join(missing)}")
-    return ScanData(
-        theta_fixed_arm=meta["fixed_arm"],
-        theta_fixed=float(meta["fixed_theta_deg"]),
-        angles=tuple(angles),
-        counts=tuple(counts),
-        config=DetectionConfig(seed=int(meta["seed"])),
-    )

@@ -1,7 +1,8 @@
 """Entanglement-based key exchange per spectral channel (BBM92 flavor).
 
 Both parties measure each incoming photon in a randomly chosen basis,
-rectilinear (analyzer at 0 deg) or diagonal (45 deg); transmission maps to
+rectilinear (analyzer at RECTILINEAR_DEG = 0 deg) or diagonal
+(DIAGONAL_DEG = 45 deg); the two angles are fixed.  Transmission maps to
 bit 0 and reflection to bit 1.  Pairs measured in different bases are
 discarded.  Depending on the state, matched-basis outcomes are correlated or
 anti-correlated per basis, so one party may flip its bits in a flagged basis
@@ -45,7 +46,6 @@ class ProtocolConfig:
 
     Attributes:
         n_pairs: Number of distributed pairs, in [1, MAX_PAIRS].
-        bases: Analyzer angles (rectilinear, diagonal) in degrees.
         flip_rectilinear: One party inverts its rectilinear-basis bits
             (the default suits the anti-correlated rectilinear outcomes of
             the cross-polarized source).
@@ -55,7 +55,6 @@ class ProtocolConfig:
     """
 
     n_pairs: int = 100_000
-    bases: tuple[float, float] = (RECTILINEAR_DEG, DIAGONAL_DEG)
     flip_rectilinear: bool = True
     flip_diagonal: bool = False
     seed: int = 0
@@ -64,18 +63,19 @@ class ProtocolConfig:
         try:
             n_pairs = int(self.n_pairs)
         except (TypeError, ValueError, OverflowError):
-            n_pairs = None
+            n_pairs = 0
         if n_pairs != self.n_pairs or not 1 <= n_pairs <= MAX_PAIRS:
             raise ValueError(
                 f"n_pairs must be an integer in [1, 2**63 - 1], got {self.n_pairs}"
             )
-        if len(self.bases) != 2:
-            raise ValueError(f"exactly two basis angles are required, got {self.bases}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        try:
+            seed = int(self.seed)
+        except (TypeError, ValueError, OverflowError):  # e.g. NaN or inf
+            seed = -1
+        if seed != self.seed or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "n_pairs", n_pairs)
-        object.__setattr__(self, "bases", (float(self.bases[0]), float(self.bases[1])))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,14 @@ def secret_fraction(qber_rect: float, qber_diag: float) -> float:
     return max(0.0, 1.0 - binary_entropy(qber_rect) - binary_entropy(qber_diag))
 
 
-def derive_flips(
-    state: PairState,
-    bases: tuple[float, float] = (RECTILINEAR_DEG, DIAGONAL_DEG),
-) -> tuple[bool, bool]:
-    """Calibrate the per-basis flips from the sign of the correlation.
+def derive_flips(state: PairState) -> tuple[bool, bool]:
+    """Calibrate the (rectilinear, diagonal) flips from the sign of the correlation.
 
     A negative correlation in a basis means matched-basis outcomes
     anti-correlate there, so one party should invert its bits.
     """
-    rect, diag = bases
-    e_rect = correlation_E(state, MeasurementSetting(rect, rect))
-    e_diag = correlation_E(state, MeasurementSetting(diag, diag))
+    e_rect = correlation_E(state, MeasurementSetting(RECTILINEAR_DEG, RECTILINEAR_DEG))
+    e_diag = correlation_E(state, MeasurementSetting(DIAGONAL_DEG, DIAGONAL_DEG))
     return (e_rect < 0.0, e_diag < 0.0)
 
 
@@ -161,7 +157,7 @@ def run_bbm92(
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(channel_id)]))
     # Cell weights p[basis_s, basis_i, outcome], outcome 0 = tt, 1 = tr, 2 = rt, 3 = rr.
-    bases = np.asarray(config.bases)
+    bases = np.array([RECTILINEAR_DEG, DIAGONAL_DEG])
     p = coincidence_probabilities(
         state,
         bases[:, None, None] + np.array([0.0, 0.0, 90.0, 90.0]),

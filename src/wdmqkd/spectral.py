@@ -7,7 +7,8 @@ spectral profiles or by a tabulated spectrum; the rate ratio at a given
 signal wavelength fixes the per-channel amplitude ratio of the two-photon
 state.
 
-All wavelengths are vacuum nanometers.
+All wavelengths are vacuum nanometers.  A non-finite wavelength, rate or
+phase raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .correlation import estimate_f
 
 __all__ = [
     "DEFAULT_PUMP_NM",
+    "DEFAULT_CHANNEL_RANGE_NM",
+    "DEFAULT_CHANNEL_COUNT",
     "RATIO_CONVENTIONS",
-    "PumpConfig",
     "SpectralProfile",
     "SpectralChannel",
     "TabulatedSpectrum",
@@ -53,6 +55,7 @@ DEFAULT_CHANNEL_COUNT = 8
 MAX_CHANNELS = 100_000
 
 _DEFAULT_FWHM_NM = 8.0
+_DEFAULT_PEAK_CPS = 1000.0
 _BALANCED_NM = 870.0  # rates equal here
 _TRIPLE_RATIO_NM = 866.0  # rate_HV / rate_VH = 3 here
 # The log-ratio of two equal-width, equal-peak Gaussians is linear in
@@ -63,17 +66,6 @@ _CENTER_SPLIT_NM = (
     * math.log(3.0)
     / (8.0 * math.log(2.0) * (_BALANCED_NM - _TRIPLE_RATIO_NM))
 )
-
-
-@dataclass(frozen=True)
-class PumpConfig:
-    """Pump wavelength in nm."""
-
-    lambda_pump: float = DEFAULT_PUMP_NM
-
-    def __post_init__(self) -> None:
-        if not (self.lambda_pump > 0.0 and math.isfinite(self.lambda_pump)):
-            raise ValueError(f"pump wavelength must be positive, got {self.lambda_pump}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +109,8 @@ class SpectralChannel:
             may be zero (a dark channel, e.g. far outside both bands); such
             a channel has no state.
         alpha: Relative phase of the channel state, radians.
+
+    Every field must be finite.
     """
 
     lambda_signal: float
@@ -126,49 +120,53 @@ class SpectralChannel:
     alpha: float
 
     def __post_init__(self) -> None:
+        for name in ("lambda_signal", "lambda_idler", "rate_HV", "rate_VH", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"channel {name} must be finite, got {getattr(self, name)}")
         if self.lambda_signal <= 0.0 or self.lambda_idler <= 0.0:
             raise ValueError("channel wavelengths must be positive")
         if self.rate_HV < 0.0 or self.rate_VH < 0.0:
             raise ValueError("channel rates must be >= 0")
 
 
-def idler_wavelength(
-    lambda_signal: float, pump: PumpConfig | float = DEFAULT_PUMP_NM
-) -> float:
+def idler_wavelength(lambda_signal: float, pump_nm: float = DEFAULT_PUMP_NM) -> float:
     """Idler wavelength paired with a signal wavelength by energy conservation.
 
     Args:
-        lambda_signal: Signal wavelength, nm; must exceed the pump wavelength
-            so the idler carries positive energy.
-        pump: Pump configuration or bare pump wavelength in nm.
+        lambda_signal: Signal wavelength, nm; must be finite and exceed the
+            pump wavelength so the idler carries positive energy.
+        pump_nm: Pump wavelength, nm; finite and > 0.
 
     Returns:
-        lambda_idler = 1 / (1/lambda_pump - 1/lambda_signal), nm.
+        lambda_idler = 1 / (1/pump_nm - 1/lambda_signal), nm.
     """
-    lp = pump.lambda_pump if isinstance(pump, PumpConfig) else float(pump)
-    if lp <= 0.0:
-        raise ValueError(f"pump wavelength must be positive, got {lp}")
-    if lambda_signal <= lp:
+    if not 0.0 < pump_nm < math.inf:
+        raise ValueError(f"pump_nm must be finite and > 0, got {pump_nm}")
+    if not math.isfinite(lambda_signal):
+        raise ValueError(f"lambda_signal must be finite, got {lambda_signal}")
+    if lambda_signal <= pump_nm:
         raise ValueError(
-            f"signal wavelength {lambda_signal} nm must exceed the pump wavelength {lp} nm"
+            f"signal wavelength {lambda_signal} nm must exceed the pump wavelength {pump_nm} nm"
         )
-    return 1.0 / (1.0 / lp - 1.0 / lambda_signal)
+    return 1.0 / (1.0 / pump_nm - 1.0 / lambda_signal)
 
 
-def default_profiles(peak: float = 1000.0) -> tuple[SpectralProfile, SpectralProfile]:
+def default_profiles() -> tuple[SpectralProfile, SpectralProfile]:
     """Default HV and VH rate profiles.
 
-    Equal-peak 8-nm-FWHM Gaussians whose centers straddle 870 nm so the
-    HV/VH ratio is exactly 3 at 866 nm and exactly 1 at 870 nm.
+    Equal-peak (1000 counts/s) 8-nm-FWHM Gaussians whose centers straddle
+    870 nm so the HV/VH ratio is exactly 3 at 866 nm and exactly 1 at 870 nm.
     """
-    hv = SpectralProfile(center=_BALANCED_NM - _CENTER_SPLIT_NM / 2.0, width=_DEFAULT_FWHM_NM, peak=peak)
-    vh = SpectralProfile(center=_BALANCED_NM + _CENTER_SPLIT_NM / 2.0, width=_DEFAULT_FWHM_NM, peak=peak)
+    hv = SpectralProfile(_BALANCED_NM - _CENTER_SPLIT_NM / 2.0, _DEFAULT_FWHM_NM, _DEFAULT_PEAK_CPS)
+    vh = SpectralProfile(_BALANCED_NM + _CENTER_SPLIT_NM / 2.0, _DEFAULT_FWHM_NM, _DEFAULT_PEAK_CPS)
     return hv, vh
 
 
-def _build(rates, alpha, lambda_range, n_channels, pump) -> tuple[SpectralChannel, ...]:
+def _build(rates, alpha, lambda_range, n_channels, pump_nm) -> tuple[SpectralChannel, ...]:
     """Channels on the uniform grid, rates(lambda_nm) giving (rate_HV, rate_VH)."""
     lo, hi = lambda_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lambda_range must be finite, got ({lo}, {hi})")
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
     if n_channels > MAX_CHANNELS:
@@ -176,7 +174,7 @@ def _build(rates, alpha, lambda_range, n_channels, pump) -> tuple[SpectralChanne
     if lo > hi:
         raise ValueError(f"invalid wavelength range ({lo}, {hi})")
     return tuple(
-        SpectralChannel(lam, idler_wavelength(lam, pump), *rates(lam), alpha)
+        SpectralChannel(lam, idler_wavelength(lam, pump_nm), *rates(lam), alpha)
         for lam in np.linspace(lo, hi, n_channels).tolist()
     )
 
@@ -187,7 +185,7 @@ def build_channels(
     alpha: float = 0.0,
     lambda_range: tuple[float, float] = DEFAULT_CHANNEL_RANGE_NM,
     n_channels: int = DEFAULT_CHANNEL_COUNT,
-    pump: PumpConfig = PumpConfig(),
+    pump_nm: float = DEFAULT_PUMP_NM,
 ) -> tuple[SpectralChannel, ...]:
     """Build channels on a uniform signal-wavelength grid from rate profiles.
 
@@ -198,9 +196,9 @@ def build_channels(
         lambda_range: (min, max) signal wavelength in nm, both included.
             With n_channels = 1 the grid is the single point lambda_range[0].
         n_channels: Number of channels, in [1, MAX_CHANNELS].
-        pump: Pump configuration for the idler pairing.
+        pump_nm: Pump wavelength for the idler pairing, nm.
     """
-    return _build(lambda lam: (hv.rate(lam), vh.rate(lam)), alpha, lambda_range, n_channels, pump)
+    return _build(lambda lam: (hv.rate(lam), vh.rate(lam)), alpha, lambda_range, n_channels, pump_nm)
 
 
 class TabulatedSpectrum:
@@ -263,10 +261,10 @@ def build_channels_from_table(
     alpha: float = 0.0,
     lambda_range: tuple[float, float] = DEFAULT_CHANNEL_RANGE_NM,
     n_channels: int = DEFAULT_CHANNEL_COUNT,
-    pump: PumpConfig = PumpConfig(),
+    pump_nm: float = DEFAULT_PUMP_NM,
 ) -> tuple[SpectralChannel, ...]:
     """Build channels on a uniform grid from a tabulated spectrum."""
-    return _build(lambda lam: (table.rate_hv(lam), table.rate_vh(lam)), alpha, lambda_range, n_channels, pump)
+    return _build(lambda lam: (table.rate_hv(lam), table.rate_vh(lam)), alpha, lambda_range, n_channels, pump_nm)
 
 
 def channel_state(

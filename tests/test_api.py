@@ -1,0 +1,65 @@
+"""Package surface: the re-exported names and the rejection of non-finite inputs."""
+
+import importlib
+import math
+import pkgutil
+import types
+
+import pytest
+
+import wdmqkd
+from wdmqkd import (
+    DetectionConfig,
+    ProtocolConfig,
+    SpectralChannel,
+    angle_stream_key,
+    build_channels,
+    default_profiles,
+    estimate_f,
+    idler_wavelength,
+    signed_angle_difference,
+)
+
+NAN, INF = math.nan, math.inf
+
+
+def test_package_reexports_every_public_name():
+    # cli is the command-line front end, not part of the library surface
+    modules = [m.name for m in pkgutil.iter_modules(wdmqkd.__path__) if m.name != "cli"]
+    declared = set().union(*(importlib.import_module(f"wdmqkd.{m}").__all__ for m in modules))
+    exported = {
+        name
+        for name, value in vars(wdmqkd).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == declared
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: idler_wavelength(NAN), "lambda_signal"),
+        (lambda: idler_wavelength(INF), "lambda_signal"),
+        (lambda: idler_wavelength(900.0, NAN), "pump_nm"),
+        (lambda: build_channels(*default_profiles(), lambda_range=(NAN, 874.0), n_channels=2), "lambda_range"),
+        (lambda: build_channels(*default_profiles(), lambda_range=(860.0, INF), n_channels=2), "lambda_range"),
+        (lambda: SpectralChannel(NAN, 869.0, 1.0, 1.0, 0.0), "lambda_signal"),
+        (lambda: SpectralChannel(870.0, INF, 1.0, 1.0, 0.0), "lambda_idler"),
+        (lambda: SpectralChannel(870.0, 869.0, NAN, 1.0, 0.0), "rate_HV"),
+        (lambda: SpectralChannel(870.0, 869.0, 1.0, INF, 0.0), "rate_VH"),
+        (lambda: SpectralChannel(870.0, 869.0, 1.0, 1.0, NAN), "alpha"),
+        (lambda: estimate_f(NAN, 1.0), "rate_HV"),
+        (lambda: estimate_f(1.0, INF), "rate_VH"),
+        (lambda: signed_angle_difference(INF, 0.0), "theta"),
+        (lambda: signed_angle_difference(0.0, NAN), "reference"),
+        (lambda: angle_stream_key(INF), "theta_deg"),
+        (lambda: angle_stream_key(NAN), "theta_deg"),
+        (lambda: DetectionConfig(seed=INF), "seed"),
+        (lambda: DetectionConfig(seed=NAN), "seed"),
+        (lambda: ProtocolConfig(seed=INF), "seed"),
+        (lambda: ProtocolConfig(seed=NAN), "seed"),
+    ],
+)
+def test_non_finite_input_raises_naming_it(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,12 @@ def test_master_seed_feeds_sections():
     assert cfg.detection.seed == 11
     assert cfg.detection.pair_rate == 900.0
     assert cfg.qkd.seed == 11
+
+
+def test_run_config_seed_is_read_only():
+    # the master seed lives in the detection and qkd sections, which use it
+    with pytest.raises(TypeError):
+        replace(loads_config('{"seed": 5}'), seed=6)
 
 
 def test_unknown_keys_rejected_with_path():

@@ -160,8 +160,6 @@ def test_protocol_config_validation():
         ProtocolConfig(n_pairs=0)
     with pytest.raises(ValueError):
         ProtocolConfig(seed=-3)
-    with pytest.raises(ValueError):
-        ProtocolConfig(bases=(0.0, 45.0, 90.0))
 
 
 @pytest.mark.parametrize("n_pairs", [10**12, 2**63 - 1])

@@ -8,7 +8,6 @@ import pytest
 
 from wdmqkd import (
     DEFAULT_PUMP_NM,
-    PumpConfig,
     SpectralProfile,
     TabulatedSpectrum,
     build_channels,
@@ -54,9 +53,9 @@ def test_idler_rejects_signal_at_or_below_pump():
 
 
 def test_idler_accepts_pump_config():
-    assert idler_wavelength(900.0, PumpConfig(450.0)) == pytest.approx(900.0, rel=1e-12)
+    assert idler_wavelength(900.0, 450.0) == pytest.approx(900.0, rel=1e-12)
     with pytest.raises(ValueError):
-        PumpConfig(0.0)
+        idler_wavelength(900.0, 0.0)
 
 
 def test_default_profiles_hit_design_ratios():
