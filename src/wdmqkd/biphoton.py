@@ -42,12 +42,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle_deg(theta: float) -> float:
-    """Reduce a polarizer angle to [0, 180); analyzer axes are 180-deg periodic."""
-    t = math.fmod(theta, 180.0)
-    if t < 0.0:
-        t += 180.0
-    return 0.0 if t == 180.0 else t  # a tiny negative angle rounds up to 180
+def normalize_angle_deg(theta):
+    """Reduce polarizer angles to [0, 180); analyzer axes are 180-deg periodic.
+
+    theta is a float (a float is returned) or a numpy array (an array is
+    returned); Python's % and numpy's agree bit for bit.  A tiny negative
+    angle rounds up to 180, which the second % maps to 0.
+    """
+    return theta % 180.0 % 180.0
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
     t = np.array(np.broadcast_arrays(theta_s, theta_i), dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("polarizer angles theta_s, theta_i must be finite")
-    t = np.radians(np.mod(np.mod(t, 180.0), 180.0))  # the second mod maps 180 (from -tiny) to 0
+    t = np.radians(normalize_angle_deg(t))
     (sin_s, sin_i), (cos_s, cos_i) = np.sin(t), np.cos(t)
     v = np.array([sin_s * sin_i, sin_s * cos_i, cos_s * sin_i, cos_s * cos_i])
     # v is real and rho Hermitian, so the imaginary part of rho cancels

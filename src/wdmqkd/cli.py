@@ -27,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .biphoton import BiphotonPureState, PairState, ProductState, coincidence_probabilities
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_to_dict,
-    default_run_config,
-    load_config,
-    source_channels,
-)
+from .config import ConfigError, RunConfig, config_to_dict, load_config, source_channels
 from .correlation import estimate_f, shift_table
 from .detection import scan_to_csv, simulate_scans
 from .qkd import report_to_dict, reports_to_csv, run_bbm92, wdm_aggregate
@@ -183,7 +176,6 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
 
     A dark channel (both rates zero) has no ratio; its readings are NaN.
     """
-    lines = ["lambda_signal_nm,lambda_idler_nm,rate_hv,rate_vh,f_hat,f_hat_inv"]
     rows = []
     for channel in source_channels(cfg.source):
         try:
@@ -201,10 +193,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
                 "f_hat_inv": f_hat_inv,
             }
         )
-        lines.append(
-            f"{channel.lambda_signal!r},{channel.lambda_idler!r},{channel.rate_HV!r},"
-            f"{channel.rate_VH!r},{f_hat!r},{f_hat_inv!r}"
-        )
+    lines = [",".join(rows[0]), *(",".join(map(repr, row.values())) for row in rows)]
     (_out_dir(cfg) / "spectrum.csv").write_text("\n".join(lines) + "\n")
     return rows
 
@@ -312,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_run_config()
+    cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")

@@ -49,7 +49,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "loads_config",
-    "default_run_config",
     "config_to_dict",
     "source_channels",
 ]
@@ -296,11 +295,6 @@ def load_config(path) -> RunConfig:
     """
     text = Path(path).read_text()
     return loads_config(text, name=str(path))
-
-
-def default_run_config() -> RunConfig:
-    """RunConfig with every key at its default."""
-    return RunConfig()
 
 
 def _echo(obj, keys: dict) -> dict:

@@ -113,10 +113,8 @@ def signed_angle_difference(theta: float, reference: float) -> float:
     """Minimal signed difference theta - reference on the 180-deg circle, in (-90, 90]."""
     if not (math.isfinite(theta) and math.isfinite(reference)):
         raise ValueError(f"angles must be finite, got theta={theta}, reference={reference}")
-    d = (theta - reference) % 180.0
-    if d > 90.0:
-        d -= 180.0
-    return d
+    d = normalize_angle_deg(theta - reference)
+    return d - 180.0 if d > 90.0 else d
 
 
 def scan_coefficients(state: PairState, theta_s: float) -> tuple[float, float, float]:
@@ -222,7 +220,7 @@ def _chsh(t: np.ndarray, settings: ChshSettings) -> float:
     angles = np.array([settings.a, settings.a_prime, settings.b, settings.b_prime])
     if not np.isfinite(angles).all():
         raise ValueError(f"CHSH analyzer angles must be finite, got {settings}")
-    two_theta = np.radians(2.0 * np.mod(angles, 180.0))
+    two_theta = np.radians(2.0 * normalize_angle_deg(angles))
     n_a, n_a_prime, n_b, n_b_prime = np.column_stack([-np.cos(two_theta), np.sin(two_theta)])
     return float(n_a @ t @ (n_b - n_b_prime) + n_a_prime @ t @ (n_b + n_b_prime))
 

@@ -75,13 +75,7 @@ class DetectionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {eff}")
         if not 0.0 < self.integration_time < math.inf:
             raise ValueError(f"integration_time must be finite and > 0, got {self.integration_time}")
-        try:
-            seed = int(self.seed)
-        except (TypeError, ValueError, OverflowError):  # e.g. NaN or inf
-            seed = -1
-        if seed != self.seed or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         peak = expected_mean(1.0, self)
         if not peak <= MAX_MEAN:
             raise ValueError(
@@ -113,24 +107,46 @@ class ScanData:
             raise ValueError(
                 f"theta_fixed_arm must be one of {SCAN_ARMS}, got {self.theta_fixed_arm!r}"
             )
-        if len(self.angles) != len(self.counts):
+        if not math.isfinite(self.theta_fixed):
+            raise ValueError(f"theta_fixed must be finite, got {self.theta_fixed}")
+        angles = tuple(float(a) for a in self.angles)
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"angles must be finite, got {angles}")
+        if len(angles) != len(self.counts):
             raise ValueError("angles and counts differ in length")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be >= 0")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "counts", tuple(checked_int(c, "counts") for c in self.counts))
 
 
 def angle_stream_key(theta_deg: float) -> int:
     """Integer stream key of a scan angle: millidegrees in [0, 180000)."""
     if not math.isfinite(theta_deg):
         raise ValueError(f"scan angle theta_deg must be finite, got {theta_deg}")
+    # 179.9995 deg and up round to 180000; the integer fold maps that key to 0
     return int(round(normalize_angle_deg(theta_deg) * 1000.0)) % 180000
 
 
-def derive_stream(seed: int, channel_id: int = 0, angle_key: int = 0) -> np.random.Generator:
-    """Independent random stream for one (channel, angle key) cell of a run."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(channel_id), int(angle_key)]))
+def checked_int(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """value as an int if it is an integer in [low, high], else ValueError naming it."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):  # e.g. NaN or inf
+        n = None
+    if n is None or n != value or n < low or (high is not None and n > high):
+        bounds = "a non-negative integer" if (low, high) == (0, None) else f"an integer in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return n
+
+
+def derive_stream(seed: int, channel_id: int = 0, *key: int) -> np.random.Generator:
+    """Independent random stream for one (channel, *key) cell of a run.
+
+    The stream is that of SeedSequence([seed, channel_id, *key]); every
+    part must be a non-negative integer.
+    """
+    parts = [checked_int(seed, "seed"), checked_int(channel_id, "channel_id")]
+    parts += (checked_int(k, "stream key") for k in key)
+    return np.random.default_rng(np.random.SeedSequence(parts))
 
 
 def expected_mean(p, config: DetectionConfig):

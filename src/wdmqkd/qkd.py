@@ -14,11 +14,12 @@ wavelength-multiplexed link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .biphoton import MeasurementSetting, PairState, coincidence_probabilities, correlation_E
+from .detection import checked_int, derive_stream
 
 __all__ = [
     "ProtocolConfig",
@@ -60,22 +61,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            n_pairs = int(self.n_pairs)
-        except (TypeError, ValueError, OverflowError):
-            n_pairs = 0
-        if n_pairs != self.n_pairs or not 1 <= n_pairs <= MAX_PAIRS:
-            raise ValueError(
-                f"n_pairs must be an integer in [1, 2**63 - 1], got {self.n_pairs}"
-            )
-        try:
-            seed = int(self.seed)
-        except (TypeError, ValueError, OverflowError):  # e.g. NaN or inf
-            seed = -1
-        if seed != self.seed or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "n_pairs", n_pairs)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_pairs", checked_int(self.n_pairs, "n_pairs", 1, MAX_PAIRS))
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -92,6 +79,10 @@ class ChannelKeyReport:
     qber_diag: float
     secret_fraction: float
     secret_bits_estimate: float
+
+
+# Column names of the key tables (CSV and JSON), one per ChannelKeyReport field in order.
+REPORT_COLUMNS = ("lambda_nm", "sifted_bits", "qber_rect", "qber_diag", "secret_fraction", "secret_bits")
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,7 @@ def run_bbm92(
         ChannelKeyReport with sifted size, per-basis error rates, and the
         secret-bit estimate sifted_bits * secret_fraction.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(channel_id)]))
+    rng = derive_stream(config.seed, channel_id)
     # Cell weights p[basis_s, basis_i, outcome], outcome 0 = tt, 1 = tr, 2 = rt, 3 = rr.
     bases = np.array([RECTILINEAR_DEG, DIAGONAL_DEG])
     p = coincidence_probabilities(
@@ -202,24 +193,11 @@ def wdm_aggregate(reports) -> WdmSummary:
 
 
 def report_to_dict(report: ChannelKeyReport) -> dict:
-    """JSON-ready form of a report; NaN error rates map to null."""
-    as_json = lambda x: None if math.isnan(x) else x
-    return {
-        "lambda_nm": as_json(report.lambda_signal),
-        "sifted_bits": report.sifted_bits,
-        "qber_rect": as_json(report.qber_rect),
-        "qber_diag": as_json(report.qber_diag),
-        "secret_fraction": report.secret_fraction,
-        "secret_bits": report.secret_bits_estimate,
-    }
+    """JSON-ready form of a report; NaN values map to null."""
+    return {k: None if math.isnan(v) else v for k, v in zip(REPORT_COLUMNS, astuple(report), strict=True)}
 
 
 def reports_to_csv(reports) -> str:
     """Per-channel key table as CSV text."""
-    lines = ["lambda_nm,sifted_bits,qber_rect,qber_diag,secret_fraction,secret_bits"]
-    for r in reports:
-        lines.append(
-            f"{r.lambda_signal!r},{r.sifted_bits},{r.qber_rect!r},"
-            f"{r.qber_diag!r},{r.secret_fraction!r},{r.secret_bits_estimate!r}"
-        )
+    lines = [",".join(REPORT_COLUMNS), *(",".join(map(repr, astuple(r))) for r in reports)]
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .biphoton import normalize_angle_deg
 from .detection import ScanData
 
 __all__ = [
@@ -170,8 +171,7 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
     # Canonical form: positive visibility, phase folded into [0, PERIOD_DEG).
     a, b, s = solution.T
     c, v, theta0 = a, np.hypot(b, s) / a, np.arctan2(s, b) / omega
-    theta0 = np.where(v < 0.0, theta0 + PERIOD_DEG / 2.0, theta0) % PERIOD_DEG
-    theta0[theta0 == PERIOD_DEG] = 0.0  # a tiny negative phase rounds up to the period
+    theta0 = normalize_angle_deg(np.where(v < 0.0, theta0 + PERIOD_DEG / 2.0, theta0))
     v = np.abs(v)
 
     phase = omega * (theta - theta0[:, None])

@@ -9,15 +9,20 @@ import pytest
 
 import wdmqkd
 from wdmqkd import (
+    BiphotonPureState,
     DetectionConfig,
     ProtocolConfig,
+    ScanData,
     SpectralChannel,
     angle_stream_key,
     build_channels,
     default_profiles,
+    derive_stream,
     estimate_f,
     idler_wavelength,
+    run_bbm92,
     signed_angle_difference,
+    simulate_scans,
 )
 
 NAN, INF = math.nan, math.inf
@@ -58,6 +63,17 @@ def test_package_reexports_every_public_name():
         (lambda: DetectionConfig(seed=NAN), "seed"),
         (lambda: ProtocolConfig(seed=INF), "seed"),
         (lambda: ProtocolConfig(seed=NAN), "seed"),
+        (lambda: ScanData("signal", NAN, (0.0, 10.0), (1, 1)), "theta_fixed"),
+        (lambda: ScanData("signal", 0.0, (0.0, INF), (1, 1)), "angles"),
+        (lambda: ScanData("signal", 0.0, (0.0, 10.0), (1, 1.5)), "counts"),
+        (lambda: derive_stream(0, -1, 0), "channel_id"),
+        (lambda: derive_stream(-1), "seed"),
+        (lambda: derive_stream(0, 0, -1), "stream key"),
+        (lambda: run_bbm92(BiphotonPureState(), ProtocolConfig(), channel_id=-1), "channel_id"),
+        (
+            lambda: simulate_scans(BiphotonPureState(), "signal", (0.0,), (0.0, 10.0), DetectionConfig(), -1),
+            "channel_id",
+        ),
     ],
 )
 def test_non_finite_input_raises_naming_it(call, name):

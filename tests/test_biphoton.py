@@ -239,3 +239,12 @@ def test_tiny_negative_angle_normalizes_to_zero():
     assert normalize_angle_deg(-1e-17) == 0.0
     assert normalize_angle_deg(-5e-324) == 0.0
     assert MeasurementSetting(-1e-15, 0.0).theta_s == 0.0
+
+
+def test_angle_fold_array_path_matches_scalar_path_bitwise():
+    values = [-1e-300, -0.0, 180.0, math.nextafter(180.0, 0.0), -180.0, 1e300, -1e300]
+    folded = normalize_angle_deg(np.array(values))
+    scalar = [normalize_angle_deg(v) for v in values]
+    assert all(type(t) is float for t in scalar)
+    assert folded.tobytes() == np.array(scalar).tobytes()
+    assert all(0.0 <= t < 180.0 for t in scalar)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from wdmqkd import (
     ConfigError,
+    RunConfig,
     config_to_dict,
-    default_run_config,
     load_config,
     loads_config,
     source_channels,
@@ -28,7 +28,7 @@ from wdmqkd.spectral import MAX_CHANNELS
 
 
 def test_defaults():
-    cfg = default_run_config()
+    cfg = RunConfig()
     assert cfg.seed == 0
     assert cfg.out_dir == "out"
     assert cfg.source.kind == "entangled"
@@ -246,7 +246,7 @@ def test_config_echo_round_trip(tmp_path):
 
 def test_fit_section_still_loads_with_its_one_value(tmp_path, monkeypatch):
     # existing configs, echoes and the benchmark's own config keep the key
-    assert loads_config('{"fit": {"period_deg": 180}}') == default_run_config()
+    assert loads_config('{"fit": {"period_deg": 180}}') == RunConfig()
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -414,7 +414,7 @@ def _legal_configs(draw):
         )
     )
     # an omitted wavelength key takes its default, which must still be in order
-    default = default_run_config().source
+    default = RunConfig().source
     pump = source.get("pump_nm", default.pump_nm)
     lo = source.get("lambda_min_nm", default.lambda_min_nm)
     hi = source.get("lambda_max_nm", default.lambda_max_nm)
