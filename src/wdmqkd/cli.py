@@ -18,6 +18,7 @@ with zero rate in both bands), and 1 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,6 +48,8 @@ FIXED_SIGNAL_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 # 180 deg stays: the benchmark and acceptance grids scan 0-180, and with one
 # stream per scan it is a second, independent measurement of the 0-deg setting.
 SCAN_ANGLES_DEG = tuple(float(a) for a in range(0, 181, 10))
+# theory-scan's idler grid: 0-179 deg in 1-deg steps
+THEORY_GRID_DEG = tuple(float(a) for a in range(180))
 
 # Parameter sets of the standard model plots: (directory, f, alpha_deg).
 FIGURE_SETS = (
@@ -90,7 +93,8 @@ def cmd_theory_scan(
 
     One CSV per fixed signal angle (idler on a 1-degree grid) plus a JSON
     summary with peak positions, shifts against theta_s = 0, visibilities
-    and degeneracy flags.
+    and degeneracy flags.  Two different angles that would share one file
+    name raise ValueError before anything is written.
     """
     if product or (f is None and cfg.source.kind == "product"):
         state: PairState = ProductState()
@@ -102,12 +106,19 @@ def cmd_theory_scan(
         )
         described = {"kind": "entangled", "f": state.f, "alpha_deg": math.degrees(state.alpha)}
     thetas = tuple(theta_s_list) if theta_s_list else (0.0, 45.0, 135.0)
-    grid = np.arange(0.0, 180.0, 1.0).tolist()
+    curves = coincidence_probabilities(state, np.array(thetas)[:, None], THEORY_GRID_DEG).tolist()
+    labels = [_angle_label(ts) for ts in thetas]
+    first: dict[str, float] = {}  # label -> the first angle written under it
+    for label, ts in zip(labels, thetas):
+        if first.setdefault(label, ts) != ts:
+            raise ValueError(
+                f"theta_s_list: {first[label]!r} and {ts!r} would share the file "
+                f"theory_scan_thetas_{label}.csv"
+            )
     out = _out_dir(cfg)
-    for ts in thetas:
-        rates = coincidence_probabilities(state, ts, grid).tolist()
-        lines = ["theta_i_deg,rate", *(f"{ti!r},{p!r}" for ti, p in zip(grid, rates))]
-        (out / f"theory_scan_thetas_{_angle_label(ts)}.csv").write_text("\n".join(lines) + "\n")
+    for label, rates in zip(labels, curves):
+        text = "".join(map("{!r},{!r}\n".format, THEORY_GRID_DEG, rates))
+        (out / f"theory_scan_thetas_{label}.csv").write_text("theta_i_deg,rate\n" + text)
     rows = []
     for entry in shift_table(state, thetas, reference=0.0):
         rows.append(
@@ -247,6 +258,8 @@ def _parse_theta_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"--theta-s expects comma-separated degrees, got {text!r}") from None
     if not values:
         raise ConfigError("--theta-s lists no angles")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"--theta-s angles must be finite, got {text!r}")
     return values
 
 
@@ -282,7 +295,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="wdmqkd",
         description="Pair-source polarization correlations, scan fits and per-channel key rates.",

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wdmqkd
 from wdmqkd import (
     ConfigError,
     RunConfig,
@@ -20,7 +22,7 @@ from wdmqkd import (
     loads_config,
     source_channels,
 )
-from wdmqkd.cli import main
+from wdmqkd.cli import build_parser, main
 from wdmqkd.correlation import signed_angle_difference
 from wdmqkd.detection import MAX_MEAN, DetectionConfig
 from wdmqkd.qkd import MAX_PAIRS
@@ -734,6 +736,53 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["theory-scan", "--theta-s", "abc", "--out", str(tmp_path / "y")]) == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+@pytest.mark.parametrize(
+    "theta_s, expected",
+    [
+        ("0,nan", ("--theta-s",)),
+        ("inf", ("--theta-s",)),
+        ("0,-inf", ("--theta-s",)),
+        ("1e999", ("--theta-s",)),  # parses to inf
+        # 6 significant digits name the file: two different angles, one file
+        ("0.1234561,0.1234562", ("theta_s_list", "theory_scan_thetas_0.123456.csv")),
+    ],
+)
+def test_cli_theory_scan_rejects_signal_angles_before_writing(theta_s, expected, tmp_path, capsys):
+    assert main(["theory-scan", f"--theta-s={theta_s}", "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in expected), err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_cli_parser_is_reused_without_leaking_flags(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate-fit", "--period", "360", "--out", str(tmp_path / "usage")])
+    assert exit_info.value.code == 2
+    flags = ["--f", "1.73", "--alpha-deg", "10", "--out", str(tmp_path / "flags")]
+    assert main(["theory-scan", *flags]) == 0
+    # relative --out, so the config echo is the same in both runs
+    (tmp_path / "here").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    assert main(["theory-scan", "--out", "out"]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(wdmqkd.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wdmqkd.cli", "theory-scan", "--out", "out"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path / "fresh",
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    here, fresh = tmp_path / "here" / "out", tmp_path / "fresh" / "out"
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert len(names) == 5  # three curves, the summary and the config echo
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_cli_subprocess_smoke(tmp_path):

@@ -1,7 +1,9 @@
-"""Property tests: angle normalization, fit permutation invariance, extreme f."""
+"""Property tests: angle normalization, fit permutation invariance, extreme f, theory-scan files."""
 
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,17 @@ from hypothesis import strategies as st
 
 from wdmqkd import (
     BiphotonPureState,
+    ProductState,
+    RunConfig,
     chsh_optimize,
+    coincidence_probabilities,
     coincidence_probability,
     find_theta_max,
     fit_sinusoid,
     joint_outcome_distribution,
 )
 from wdmqkd.biphoton import MeasurementSetting, normalize_angle_deg
+from wdmqkd.cli import cmd_theory_scan
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -102,3 +108,39 @@ def test_large_f_values_match_the_f_to_infinity_limit(f):
     assert (res.theta_max, res.r_max, res.visibility) == pytest.approx((90.0, 0.75, 1.0), abs=1e-12)
     assert not res.degenerate
     assert chsh_optimize(state)[1] == pytest.approx(2.0, abs=1e-12)
+
+
+@st.composite
+def theta_s_lists(draw):
+    """Signal-angle lists with repeats, negatives and +-1e300, one file name per angle."""
+    pool = draw(
+        st.lists(
+            st.one_of(ANGLE_ANY, st.sampled_from((0.0, -45.0, 1e300, -1e300))),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda t: format(t, "g"),
+        )
+    )
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@DETERMINISTIC
+@given(
+    f=F_ANY,
+    alpha_deg=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    product=st.booleans(),
+    thetas=theta_s_lists(),
+)
+def test_theory_scan_files_match_per_angle_curves(f, alpha_deg, product, thetas):
+    state = ProductState() if product else BiphotonPureState.from_degrees(f, alpha_deg)
+    grid = np.arange(0.0, 180.0, 1.0).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = RunConfig(out_dir=tmp)
+        cmd_theory_scan(cfg, f=f, alpha_deg=alpha_deg, theta_s_list=thetas, product=product)
+        written = {p.name: p.read_text() for p in Path(tmp).glob("theory_scan_thetas_*.csv")}
+    expected = {}
+    for ts in thetas:
+        rates = coincidence_probabilities(state, ts, grid).tolist()
+        lines = ["theta_i_deg,rate", *(f"{ti!r},{p!r}" for ti, p in zip(grid, rates))]
+        expected[f"theory_scan_thetas_{format(ts, 'g')}.csv"] = "\n".join(lines) + "\n"
+    assert written == expected
