@@ -187,7 +187,12 @@ def shift_table(
     Returns:
         One ShiftEntry per input angle; shift is the minimal signed
         difference on the 180-deg circle, in (-90, 90].
+
+    Raises:
+        ValueError: If reference or an angle of theta_s_list is NaN or infinite.
     """
+    if not math.isfinite(reference):
+        raise ValueError(f"reference must be finite, got {reference}")
     ref_peak = find_theta_max(state, reference).theta_max
     rows = []
     for ts in theta_s_list:

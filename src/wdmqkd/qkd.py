@@ -63,6 +63,9 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_pairs", checked_int(self.n_pairs, "n_pairs", 1, MAX_PAIRS))
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
+        for name in ("flip_rectilinear", "flip_diagonal"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ mapped back by c = A, v = hypot(B, C)/A and theta0 = atan2(C, B)/w.  The
 first solve takes max(counts, 1) as each point's Poisson variance, and two
 more take max(model counts, 1) of the previous solution, which moves the
 fit toward the Poisson likelihood (Baker & Cousins, NIM 221, 437 (1984)).
-The parameter covariance is the inverse weighted normal matrix of
-(c, v, theta0) at the solution.
+The covariance of (A, B, C) is R^-1 R^-T, with R the triangular factor of
+the last weighted solve, carried to (c, v, theta0) by the map's Jacobian.
 
 Scans that share one angle list are fitted together (``fit_scans``): the
 design matrix and its rank are computed once, the weighted least-squares
 problems are solved by stacked QR decompositions, and the covariances come
-from one stacked inverse.  ``fit_sinusoid`` and ``fit_scan`` are one-row
+from their stacked R factors.  ``fit_sinusoid`` and ``fit_scan`` are one-row
 calls of the same code.
 """
 
@@ -53,9 +53,10 @@ class FitResult:
         v: Fringe visibility, canonicalized to >= 0 (and <= 1 for any
             physical fringe).
         theta0: Phase of the cosine peak, degrees in [0, PERIOD_DEG).
-        covariance: 3x3 covariance of (c, v, theta0) from the weighted
-            normal matrix; entries blow up (or become inf) when a parameter
-            is unidentifiable, e.g. theta0 of a constant scan.
+        covariance: 3x3 covariance of (c, v, theta0), that of the linear
+            coefficients carried through the map to (c, v, theta0); the
+            entries of a parameter are inf when it is unidentifiable, e.g.
+            theta0 of a constant scan, or v and theta0 at subnormal counts.
         chi2_reduced: Weighted residual sum over (n_points - 3).
         converged: Always True for a returned fit: the solves are a fixed
             sequence with no convergence test, and input they cannot fit
@@ -92,16 +93,6 @@ class ScanMetrics:
     theta_max_err: float
     visibility: float
     visibility_err: float
-
-
-def _inverse_or_inf(normal: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix of a stack; a singular one becomes all inf."""
-    try:
-        return np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        if len(normal) == 1:
-            return np.full(normal.shape, np.inf)
-        return np.concatenate([_inverse_or_inf(normal[i : i + 1]) for i in range(len(normal))])
 
 
 def _shared_error(theta: np.ndarray, rows: np.ndarray) -> str | None:
@@ -170,21 +161,21 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
 
     # Canonical form: positive visibility, phase folded into [0, PERIOD_DEG).
     a, b, s = solution.T
-    c, v, theta0 = a, np.hypot(b, s) / a, np.arctan2(s, b) / omega
+    h, phi = np.hypot(b, s), np.arctan2(s, b)
+    c, v, theta0 = a, h / a, phi / omega
     theta0 = normalize_angle_deg(np.where(v < 0.0, theta0 + PERIOD_DEG / 2.0, theta0))
     v = np.abs(v)
 
-    phase = omega * (theta - theta0[:, None])
-    cos_ph, sin_ph = np.cos(phase), np.sin(phase)
-    jac = np.stack(
-        [1.0 + v[:, None] * cos_ph, c[:, None] * cos_ph, (c * v * omega)[:, None] * sin_ph], axis=-1
-    ) * sqrt_w[:, :, None]
-    normal = np.matmul(jac.transpose(0, 2, 1), jac)
-    # Inverted at unit diagonal, so that a near-zero correlation keeps its accuracy.
-    scale = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
-    scale[scale == 0.0] = 1.0
-    outer = scale[:, :, None] * scale[:, None, :]
-    covariance = _inverse_or_inf(normal / outer) / outer
+    # The covariance of (a, b, s) is (R^T R)^-1 = R^-1 R^-T, from the last solve's
+    # factor; the map's Jacobian diag(scale) @ turn carries it to (c, v, theta0).
+    cos_phi, sin_phi, one, zero = np.cos(phi), np.sin(phi), np.ones_like(a), np.zeros_like(a)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        turn = np.stack([one, zero, zero, -v * np.sign(a), cos_phi, sin_phi, zero, -sin_phi, cos_phi], axis=-1)
+        turned = turn.reshape(-1, 3, 3) @ np.linalg.inv(r)
+        scale = np.stack([one, 1.0 / np.abs(a), 1.0 / (omega * h)], axis=-1)
+        covariance = scale[:, :, None] * (turned @ turned.transpose(0, 2, 1)) * scale[:, None, :]
+    # An infinite scale (a or h zero or subnormal) leaves its parameter unidentified.
+    covariance[np.isinf(scale[:, :, None] + scale[:, None, :])] = np.inf
     for k, ck, vk, tk, cov, chi2 in zip(
         good, c.tolist(), v.tolist(), theta0.tolist(), covariance, chi2_reduced.tolist()
     ):

@@ -241,8 +241,8 @@ class TabulatedSpectrum:
                 )
             rows = [row for row in reader if row]
         try:
-            data = [(float(r[0]), float(r[1]), float(r[2])) for r in rows]
-        except (ValueError, IndexError) as exc:
+            data = [(float(lam), float(hv), float(vh)) for lam, hv, vh in rows]
+        except ValueError as exc:  # a field that is not a number, or not three fields
             raise ValueError(f"{path}: malformed spectrum row: {exc}") from None
         if not data:
             raise ValueError(f"{path}: spectrum file has no data rows")

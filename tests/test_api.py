@@ -21,6 +21,7 @@ from wdmqkd import (
     estimate_f,
     idler_wavelength,
     run_bbm92,
+    shift_table,
     signed_angle_difference,
     simulate_scans,
 )
@@ -63,6 +64,9 @@ def test_package_reexports_every_public_name():
         (lambda: DetectionConfig(seed=NAN), "seed"),
         (lambda: ProtocolConfig(seed=INF), "seed"),
         (lambda: ProtocolConfig(seed=NAN), "seed"),
+        (lambda: ProtocolConfig(flip_rectilinear="no"), "flip_rectilinear"),
+        (lambda: ProtocolConfig(flip_diagonal=1), "flip_diagonal"),
+        (lambda: shift_table(BiphotonPureState(), [0.0], reference=NAN), "reference must"),
         (lambda: ScanData("signal", NAN, (0.0, 10.0), (1, 1)), "theta_fixed"),
         (lambda: ScanData("signal", 0.0, (0.0, INF), (1, 1)), "angles"),
         (lambda: ScanData("signal", 0.0, (0.0, 10.0), (1, 1.5)), "counts"),

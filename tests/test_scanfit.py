@@ -1,6 +1,8 @@
 """Fringe fitting: exact recovery, canonical form, uncertainty behavior."""
 
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from wdmqkd import (
     signed_angle_difference,
     visibility,
 )
-from wdmqkd.scanfit import _inverse_or_inf
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -297,13 +298,35 @@ def test_fit_scans_input_checks():
         fit_scans([scans[0], other])
 
 
-def test_singular_normal_matrix_gets_inf_covariance_alone():
-    regular = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 4.0]])
-    singular = np.diag([1.0, 2.0, 0.0])
-    inverse = _inverse_or_inf(np.stack([regular, singular, regular]))
-    assert np.all(np.isinf(inverse[1]))
-    np.testing.assert_allclose(inverse[0], np.linalg.inv(regular), rtol=1e-15)
-    np.testing.assert_array_equal(inverse[2], inverse[0])
+def test_subnormal_counts_get_inf_error_bars_alone():
+    # 1/c overflows at subnormal counts, so v and theta0 cannot be identified
+    tiny = types.SimpleNamespace(angles=tuple(ANGLES), counts=(1e-320,) * ANGLES.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_sinusoid(ANGLES, tiny.counts)
+        good = simulate_scans(BiphotonPureState(1.73, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig(seed=3))
+        fits = fit_scans([good[0], tiny, good[1]])
+    assert fit.v == 0.0
+    assert math.isinf(fit.v_err) and math.isinf(fit.theta0_err)
+    assert math.isfinite(fit.c_err)  # the baseline is still the weighted mean
+    assert not np.isnan(fit.covariance).any()
+    np.testing.assert_array_equal(fits[1].covariance, fit.covariance)
+    for scan, batched in ((good[0], fits[0]), (good[1], fits[2])):
+        alone = fit_scan(scan)
+        for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+            assert getattr(batched, name) == pytest.approx(getattr(alone, name), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [5e307, 1e308])
+def test_error_bars_stay_finite_near_the_float_limit(scale):
+    # the squared fringe amplitude overflows here, so the covariance must not form it
+    counts = scale * fringe(ANGLES, 1.0, 0.5, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_sinusoid(ANGLES, counts)
+    assert fit.v == pytest.approx(0.5, rel=1e-9)
+    for err in (fit.c_err, fit.v_err, fit.theta0_err):
+        assert math.isfinite(err) and err > 0.0
 
 
 def test_peak_error_bar_holds_at_a_low_count_point():

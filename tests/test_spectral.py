@@ -188,6 +188,11 @@ def test_tabulated_spectrum_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         TabulatedSpectrum.from_csv(dup)
 
+    extra_field = tmp_path / "extra_field.csv"
+    extra_field.write_text("lambda_nm,rate_hv,rate_vh\n860,1,2,999\n870.0,1.0,1.0\n")
+    with pytest.raises(ValueError, match="malformed spectrum row"):
+        TabulatedSpectrum.from_csv(extra_field)
+
     negative = tmp_path / "neg.csv"
     negative.write_text("lambda_nm,rate_hv,rate_vh\n866.0,-1.0,1.0\n870.0,1.0,1.0\n")
     with pytest.raises(ValueError):
