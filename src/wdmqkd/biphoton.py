@@ -10,8 +10,9 @@ has horizontal component sin(theta) and vertical component cos(theta).
 
 Every state is its 4x4 density matrix rho over {HH, HV, VH, VV}, built from
 (0, 1, f e^{i alpha}, 0) / hypot(1, f), finite for every finite f, or from
-the separable (1, 1, 1, 1) / 2.  ``coincidence_probabilities`` evaluates
-the Born rule Tr(rho P_s x P_i) for all of them.
+the separable (1, 1, 1, 1) / 2.  ``plane_moments`` alone reads rho, as the
+moments M_jk = Tr(rho o_j x o_k), o = (1, sigma_z, sigma_x); the Born rule
+Tr(rho P_s x P_i) is then n_s^T M n_i / 4 with n the ``analyzer_vectors``.
 
 All angles crossing this module's public boundary are degrees; phases are
 radians.  Polarizer settings are 180-degree periodic and are normalized on
@@ -41,6 +42,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# Row 3j + k is o_j x o_k flattened: real and symmetric, so Im rho cancels in the trace.
+_PLANE_OPERATORS = (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+_MOMENT_ROWS = np.array([np.kron(a, b).ravel() for a in _PLANE_OPERATORS for b in _PLANE_OPERATORS])
+
 
 def normalize_angle_deg(theta):
     """Reduce polarizer angles to [0, 180); analyzer axes are 180-deg periodic.
@@ -50,6 +55,12 @@ def normalize_angle_deg(theta):
     angle rounds up to 180, which the second % maps to 0.
     """
     return theta % 180.0 % 180.0
+
+
+def analyzer_vectors(theta) -> np.ndarray:
+    """n = (1, -cos 2 theta, sin 2 theta), shape (3,) + theta's: the polarizer projects onto n . o / 2."""
+    two_theta = np.radians(2.0 * normalize_angle_deg(np.asarray(theta, dtype=float)))
+    return np.array([np.ones_like(two_theta), -np.cos(two_theta), np.sin(two_theta)])
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,11 @@ class ProductState:
 
 
 PairState = BiphotonPureState | ProductState
+
+
+def plane_moments(state: PairState) -> np.ndarray:
+    """M_jk = Tr(rho o_j x o_k), o = (1, sigma_z, sigma_x); T = M[1:, 1:] is the correlation tensor."""
+    return (_MOMENT_ROWS @ state.density_matrix.real.ravel()).reshape(3, 3)
 
 
 @dataclass(frozen=True)
@@ -162,11 +178,8 @@ def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
     t = np.array(np.broadcast_arrays(theta_s, theta_i), dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("polarizer angles theta_s, theta_i must be finite")
-    t = np.radians(normalize_angle_deg(t))
-    (sin_s, sin_i), (cos_s, cos_i) = np.sin(t), np.cos(t)
-    v = np.array([sin_s * sin_i, sin_s * cos_i, cos_s * sin_i, cos_s * cos_i])
-    # v is real and rho Hermitian, so the imaginary part of rho cancels
-    p = np.einsum("a...,ab,b...->...", v, state.density_matrix.real, v)
+    n_s, n_i = analyzer_vectors(t).swapaxes(0, 1)
+    p = np.einsum("j...,jk,k...->...", n_s, plane_moments(state), n_i) / 4.0
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
@@ -222,7 +235,7 @@ def joint_outcome_distribution(
 
 
 def correlation_E(state: PairState, setting: MeasurementSetting) -> float:
-    """Two-outcome correlation E = p_tt + p_rr - p_tr - p_rt, in [-1, 1]."""
-    d = joint_outcome_distribution(state, setting)
-    e = d.p_tt + d.p_rr - d.p_tr - d.p_rt
+    """Two-outcome correlation E = p_tt + p_rr - p_tr - p_rt = n_s^T T n_i, in [-1, 1]."""
+    n_s, n_i = analyzer_vectors([setting.theta_s, setting.theta_i])[1:].T
+    e = float(n_s @ plane_moments(state)[1:, 1:] @ n_i)
     return max(-1.0, min(1.0, e))

@@ -91,6 +91,12 @@ class SourceConfig:
     vh_profile: SpectralProfile = default_profiles()[1]
     spectrum_csv: str | None = None
 
+    def __post_init__(self) -> None:
+        for name, choices in (("kind", SOURCE_KINDS), ("f_convention", RATIO_CONVENTIONS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"key 'source.{name}' must be one of {choices}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -197,13 +203,7 @@ def _section(section: dict, keys: dict, default, path: str):
 def _parse_source(section: dict, path: str = "source.") -> SourceConfig:
     _reject_unknown(section, _SOURCE_KEYS, path)
     values = _read(section, _SOURCE_KEYS, SourceConfig(), path)
-    kind, convention = values["kind"], values["f_convention"]
-    if kind not in SOURCE_KINDS:
-        raise ConfigError(f"key '{path}kind' must be one of {SOURCE_KINDS}, got {kind!r}")
-    if convention not in RATIO_CONVENTIONS:
-        raise ConfigError(
-            f"key '{path}f_convention' must be one of {RATIO_CONVENTIONS}, got {convention!r}"
-        )
+    source = SourceConfig(**values)  # checks kind and f_convention
     pump_nm = values["pump_nm"]
     if pump_nm <= 0.0:
         raise ConfigError(f"key '{path}pump_nm' must be > 0, got {pump_nm}")
@@ -221,7 +221,7 @@ def _parse_source(section: dict, path: str = "source.") -> SourceConfig:
         raise ConfigError(f"key '{path}n_channels' must be >= 1, got {n_channels}")
     if n_channels > MAX_CHANNELS:
         raise ConfigError(f"key '{path}n_channels' must be <= {MAX_CHANNELS}, got {n_channels}")
-    return SourceConfig(**values)
+    return source
 
 
 def _parse_qkd(section: dict, seed: int, path: str = "qkd.") -> ProtocolConfig:

@@ -6,8 +6,8 @@ of the idler angle is a raised sinusoid
     p(theta_i) = mean + amp_cos * cos(2 theta_i) + amp_sin * sin(2 theta_i),
 
 so peak position and visibility follow in closed form from the three
-coefficients.  They, and the CHSH correlation tensor, are read from the
-state's density matrix.
+coefficients n(theta_s)^T M / 4.  They, and the CHSH correlation tensor
+T = M[1:, 1:], are read from the state's moments M (``plane_moments``).
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import PairState, normalize_angle_deg
-
-# Pauli operators in the (H, V) basis.  A polarizer at theta measures
-# -cos(2 theta) sigma_z + sin(2 theta) sigma_x (transmit = +1).
-_PLANE_PAULIS = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+from .biphoton import PairState, analyzer_vectors, normalize_angle_deg, plane_moments
 
 __all__ = [
     "ThetaMaxResult",
@@ -117,11 +113,13 @@ def signed_angle_difference(theta: float, reference: float) -> float:
     return d - 180.0 if d > 90.0 else d
 
 
+def _fringe(r) -> tuple[float, float, float]:
+    """(mean, amp_cos, amp_sin) of the idler fringe r . n(theta_i)."""
+    return float(r[0]), -float(r[1]), float(r[2])
+
+
 def scan_coefficients(state: PairState, theta_s: float) -> tuple[float, float, float]:
     """Sinusoid coefficients of the idler scan at fixed signal angle.
-
-    They are read from the idler operator Tr_s[(P_s x 1) rho] conditioned
-    on the signal analyzer.
 
     Returns:
         (mean, amp_cos, amp_sin) such that the coincidence probability is
@@ -132,11 +130,7 @@ def scan_coefficients(state: PairState, theta_s: float) -> tuple[float, float, f
     """
     if not math.isfinite(theta_s):
         raise ValueError(f"theta_s must be finite, got {theta_s}")
-    ts = math.radians(normalize_angle_deg(theta_s))
-    u = np.array([math.sin(ts), math.cos(ts)])
-    rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']
-    (hh, hv), (_, vv) = np.einsum("a,abcd,c->bd", u, rho, u).real.tolist()
-    return ((hh + vv) / 2.0, (vv - hh) / 2.0, hv)
+    return _fringe(analyzer_vectors(theta_s) @ plane_moments(state) / 4.0)
 
 
 def find_theta_max(state: PairState, theta_s: float) -> ThetaMaxResult:
@@ -145,9 +139,9 @@ def find_theta_max(state: PairState, theta_s: float) -> ThetaMaxResult:
     The peak follows from the scan's sinusoid coefficients as
     0.5 * atan2(amp_sin, amp_cos).  A constant (or identically zero) scan
     is flagged degenerate and takes the peak of the idler's singles fringe
-    Tr_s rho, the sum of the scans at theta_s and theta_s + 90, instead: for
-    the product state that is exactly 45 deg at every theta_s.  If the
-    singles fringe is flat too, the value carries no information.
+    M[0] . n(theta_i) / 2 instead: for the product state that is exactly 45
+    deg at every theta_s.  If the singles fringe is flat too, the value
+    carries no information.
 
     Args:
         state: Entangled pure state or the +45 product state.
@@ -159,8 +153,7 @@ def find_theta_max(state: PairState, theta_s: float) -> ThetaMaxResult:
     r_min = max(mean - swing, 0.0)
     degenerate = 2.0 * swing <= DEGENERACY_RTOL * mean or r_max <= DEGENERACY_ATOL
     if degenerate:
-        _, cos_90, sin_90 = scan_coefficients(state, theta_s + 90.0)
-        amp_cos, amp_sin = amp_cos + cos_90, amp_sin + sin_90
+        _, amp_cos, amp_sin = _fringe(plane_moments(state)[0])
     theta_max = normalize_angle_deg(math.degrees(0.5 * math.atan2(amp_sin, amp_cos)))
     vis = 0.0 if degenerate else swing / mean
     return ThetaMaxResult(
@@ -214,42 +207,33 @@ def visibility(state: PairState, theta_s: float) -> float:
     return find_theta_max(state, theta_s).visibility
 
 
-def _correlation_tensor(state: PairState) -> np.ndarray:
-    """2x2 tensor T_jk = Tr(rho sigma_j x sigma_k) over (sigma_z, sigma_x)."""
-    rho = state.density_matrix.reshape(2, 2, 2, 2)  # [s, i, s', i']
-    return np.einsum("jca,kdb,abcd->jk", _PLANE_PAULIS, _PLANE_PAULIS, rho).real
-
-
 def _chsh(t: np.ndarray, settings: ChshSettings) -> float:
     """S = n(a)^T T (n(b) - n(b')) + n(a')^T T (n(b) + n(b')) for the tensor t."""
     angles = np.array([settings.a, settings.a_prime, settings.b, settings.b_prime])
     if not np.isfinite(angles).all():
         raise ValueError(f"CHSH analyzer angles must be finite, got {settings}")
-    two_theta = np.radians(2.0 * normalize_angle_deg(angles))
-    n_a, n_a_prime, n_b, n_b_prime = np.column_stack([-np.cos(two_theta), np.sin(two_theta)])
+    n_a, n_a_prime, n_b, n_b_prime = analyzer_vectors(angles)[1:].T
     return float(n_a @ t @ (n_b - n_b_prime) + n_a_prime @ t @ (n_b + n_b_prime))
 
 
 def chsh_value(state: PairState, settings: ChshSettings) -> float:
     """CHSH combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), each E(a, b) = n(a)^T T n(b)."""
-    return _chsh(_correlation_tensor(state), settings)
+    return _chsh(plane_moments(state)[1:, 1:], settings)
 
 
 def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     """Maximize S over all four analyzer angles in closed form.
 
-    A linear polarizer at theta measures n(theta) . (sigma_z, sigma_x) with
-    n(theta) = (-cos 2 theta, sin 2 theta), so E(a, b) = n(a)^T T n(b) for
-    the 2x2 correlation tensor T_jk = Tr(rho sigma_j x sigma_k) over
-    (sigma_z, sigma_x).  With T = U diag(t1, t2) V^T the maximum over the
-    analyzer plane is 2 sqrt(t1^2 + t2^2) (R., P. & M. Horodecki, Phys.
-    Lett. A 200, 340 (1995)), reached at n(a) = u2, n(a') = u1 and
-    n(b), n(b') = cos(phi) v1 +- sin(phi) v2 with phi = atan2(t2, t1).
+    E(a, b) = n(a)^T T n(b), with n the plane part of ``analyzer_vectors``
+    and T = M[1:, 1:] of ``plane_moments``.  With T = U diag(t1, t2) V^T the
+    maximum over the analyzer plane is 2 sqrt(t1^2 + t2^2) (R., P. & M.
+    Horodecki, Phys. Lett. A 200, 340 (1995)), reached at n(a) = u2,
+    n(a') = u1 and n(b), n(b') = cos(phi) v1 +- sin(phi) v2, phi = atan2(t2, t1).
 
     Returns:
         (settings, s_max) with s_max = chsh_value(state, settings) >= 0.
     """
-    t = _correlation_tensor(state)
+    t = plane_moments(state)[1:, 1:]
     u, (t1, t2), vt = np.linalg.svd(t)
     phi = math.atan2(t2, t1)
     along, across = math.cos(phi) * vt[0], math.sin(phi) * vt[1]

@@ -162,7 +162,8 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
     # Canonical form: positive visibility, phase folded into [0, PERIOD_DEG).
     a, b, s = solution.T
     h, phi = np.hypot(b, s), np.arctan2(s, b)
-    c, v, theta0 = a, h / a, phi / omega
+    with np.errstate(divide="ignore", invalid="ignore"):  # a that rounds to +-0 is rejected below
+        c, v, theta0 = a, h / a, phi / omega
     theta0 = normalize_angle_deg(np.where(v < 0.0, theta0 + PERIOD_DEG / 2.0, theta0))
     v = np.abs(v)
 
@@ -179,7 +180,8 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
     for k, ck, vk, tk, cov, chi2 in zip(
         good, c.tolist(), v.tolist(), theta0.tolist(), covariance, chi2_reduced.tolist()
     ):
-        results[k] = FitResult(ck, vk, tk, cov.copy(), chi2, True, int(theta.size))
+        fit = FitResult(ck, vk, tk, cov.copy(), chi2, True, int(theta.size))
+        results[k] = fit if math.isfinite(vk) else ValueError("the fitted baseline c rounds to 0, so v is undefined")
     return results
 
 
@@ -203,8 +205,8 @@ def fit_sinusoid(theta_deg, counts) -> FitResult:
     Raises:
         ValueError: For non-finite angles or counts, fewer than 4 points,
             an angle span below half a period, negative or all-zero counts,
-            or fewer than 3 distinct angles modulo the period (a
-            rank-deficient solve).
+            fewer than 3 distinct angles modulo the period (a rank-deficient
+            solve), or a fitted baseline that rounds to zero.
     """
     theta = np.asarray(theta_deg, dtype=float)
     rows = np.asarray(counts, dtype=float)[None]

@@ -21,7 +21,10 @@ from wdmqkd import (
     joint_outcome_distribution,
     rate_expanded,
 )
-from wdmqkd.biphoton import normalize_angle_deg
+from wdmqkd.biphoton import analyzer_vectors, normalize_angle_deg
+
+# o = (1, sigma_z, sigma_x) in the (H, V) basis
+PLANE_OPERATORS = np.array([np.eye(2), [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
 
 def amplitude_oracle(f, alpha, theta_s_deg, theta_i_deg):
@@ -248,3 +251,17 @@ def test_angle_fold_array_path_matches_scalar_path_bitwise():
     assert all(type(t) is float for t in scalar)
     assert folded.tobytes() == np.array(scalar).tobytes()
     assert all(0.0 <= t < 180.0 for t in scalar)
+
+
+def test_analyzer_vectors_expand_the_polarizer_projector():
+    # (1/2) sum_j n_j o_j is the projector onto u = (sin theta, cos theta);
+    # fmod is exact and a polarizer is 180-deg periodic, so u is taken there
+    thetas = np.concatenate([np.random.default_rng(31).uniform(-720.0, 720.0, 200), [-1e-300, 179.9999, 1e300]])
+    n = analyzer_vectors(thetas)
+    assert n.shape == (3, thetas.size)
+    for theta, n_theta in zip(thetas.tolist(), n.T):
+        t = math.radians(math.fmod(theta, 180.0))
+        u = np.array([math.sin(t), math.cos(t)])
+        projector = 0.5 * np.einsum("j,jab->ab", n_theta, PLANE_OPERATORS)
+        np.testing.assert_allclose(projector, np.outer(u, u), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(analyzer_vectors(theta), n_theta)

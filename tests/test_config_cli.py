@@ -17,6 +17,7 @@ import wdmqkd
 from wdmqkd import (
     ConfigError,
     RunConfig,
+    SourceConfig,
     config_to_dict,
     load_config,
     loads_config,
@@ -95,6 +96,13 @@ def test_type_errors_name_the_key():
         loads_config('{"detection": {"pair_rate_cps": true}}')
     with pytest.raises(ConfigError, match="qkd.flip_rectilinear"):
         loads_config('{"qkd": {"flip_rectilinear": 1}}')
+
+
+@pytest.mark.parametrize("field, value", [("kind", "produkt"), ("f_convention", "nope")])
+def test_source_config_rejects_unknown_choices_in_code(field, value):
+    # a SourceConfig built in code, not loaded, is checked as the loader checks it
+    with pytest.raises(ValueError, match=f"source.{field}' must be one of"):
+        RunConfig(source=SourceConfig(**{field: value}))
 
 
 def test_value_constraints_name_the_key():

@@ -239,12 +239,12 @@ def test_chsh_optimize_closed_form_random_states():
 
 
 def test_chsh_optimize_correlation_calls(monkeypatch):
-    # T is built once per call, and S is read from that same T
+    # M is read once per call, and S is read from that same T = M[1:, 1:]
     import wdmqkd.correlation as correlation
 
     calls = []
-    original = correlation._correlation_tensor
-    monkeypatch.setattr(correlation, "_correlation_tensor", lambda *a: calls.append(a) or original(*a))
+    original = correlation.plane_moments
+    monkeypatch.setattr(correlation, "plane_moments", lambda *a: calls.append(a) or original(*a))
     for state in (BiphotonPureState(1.73, 0.4), ProductState()):
         calls.clear()
         chsh_optimize(state)

@@ -1,4 +1,4 @@
-"""Property tests: angle normalization, fit permutation invariance, extreme f, theory-scan files."""
+"""Property tests: angle normalization, fit permutation invariance, extreme f, mixed states, theory-scan files."""
 
 import math
 import sys
@@ -17,9 +17,11 @@ from wdmqkd import (
     chsh_optimize,
     coincidence_probabilities,
     coincidence_probability,
+    correlation_E,
     find_theta_max,
     fit_sinusoid,
     joint_outcome_distribution,
+    scan_coefficients,
 )
 from wdmqkd.biphoton import MeasurementSetting, normalize_angle_deg
 from wdmqkd.cli import cmd_theory_scan
@@ -144,3 +146,51 @@ def test_theory_scan_files_match_per_angle_curves(f, alpha_deg, product, thetas)
         lines = ["theta_i_deg,rate", *(f"{ti!r},{p!r}" for ti, p in zip(grid, rates))]
         expected[f"theory_scan_thetas_{format(ts, 'g')}.csv"] = "\n".join(lines) + "\n"
     assert written == expected
+
+
+class MixedState:
+    """A random full-rank mixed rho, complex off the diagonal; the package reads only density_matrix."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        self.density_matrix = rho / np.trace(rho).real
+
+
+def _projector(theta_deg: float) -> np.ndarray:
+    t = math.radians(theta_deg)
+    u = np.array([math.sin(t), math.cos(t)])
+    return np.outer(u, u)
+
+
+def _born(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.trace(rho @ np.kron(a, b)).real)
+
+
+def test_every_statistic_on_a_mixed_state_matches_the_explicit_trace():
+    rng = np.random.default_rng(32)
+    sigma_z, sigma_x, one = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    for _ in range(50):
+        state = MixedState(rng)
+        rho = state.density_matrix
+        p = lambda ts, ti: _born(rho, _projector(ts), _projector(ti))
+        e = lambda ts, ti: _born(rho, 2.0 * _projector(ts) - one, 2.0 * _projector(ti) - one)
+        theta_s, theta_i = rng.uniform(-360.0, 360.0, size=2)
+
+        assert float(coincidence_probabilities(state, theta_s, theta_i)) == pytest.approx(p(theta_s, theta_i), abs=1e-12)
+        mean, amp_cos, amp_sin = scan_coefficients(state, theta_s)
+        for ti in rng.uniform(0.0, 180.0, size=4):
+            fringe = mean + amp_cos * math.cos(math.radians(2.0 * ti)) + amp_sin * math.sin(math.radians(2.0 * ti))
+            assert fringe == pytest.approx(p(theta_s, ti), abs=1e-12)
+        peak = find_theta_max(state, theta_s)
+        assert peak.r_max == pytest.approx(p(theta_s, peak.theta_max), abs=1e-12)
+        assert peak.r_min == pytest.approx(p(theta_s, peak.theta_max + 90.0), abs=1e-12)
+        assert peak.r_max >= max(p(theta_s, ti) for ti in np.arange(0.0, 180.0, 1.0)) - 1e-12
+        assert correlation_E(state, MeasurementSetting(theta_s, theta_i)) == pytest.approx(e(theta_s, theta_i), abs=1e-12)
+
+        # Horodecki: max S over the analyzer plane is 2 sqrt(t1^2 + t2^2) of T over (sigma_z, sigma_x)
+        t = np.array([[_born(rho, a, b) for b in (sigma_z, sigma_x)] for a in (sigma_z, sigma_x)])
+        settings, s = chsh_optimize(state)
+        assert s == pytest.approx(2.0 * np.linalg.norm(t), abs=1e-12)
+        a, a_prime, b, b_prime = settings.a, settings.a_prime, settings.b, settings.b_prime
+        assert s == pytest.approx(e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime), abs=1e-12)

@@ -317,6 +317,36 @@ def test_subnormal_counts_get_inf_error_bars_alone():
             assert getattr(batched, name) == pytest.approx(getattr(alone, name), rel=1e-12)
 
 
+ZERO_BASELINE = "the fitted baseline c rounds to 0, so v is undefined"
+
+
+@pytest.mark.parametrize(
+    "theta, counts",
+    [
+        (ANGLES, [5e-324] + [0.0] * (ANGLES.size - 1)),  # a rounds to -0: h / a is nan
+        ((0.0, 30.0, 60.0, 90.0, 120.0), (5e-324, 5e-324, 0.0, 0.0, 0.0)),  # a rounds to +0: h / a is inf
+    ],
+)
+def test_zero_baseline_rejected(theta, counts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=ZERO_BASELINE):
+            fit_sinusoid(theta, counts)
+
+
+def test_fit_scans_zero_baseline_row_fails_alone():
+    good = simulate_scans(BiphotonPureState(1.73, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig(seed=3))
+    dust = types.SimpleNamespace(angles=tuple(ANGLES), counts=(5e-324,) + (0.0,) * (ANGLES.size - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = fit_scans([good[0], dust, good[1]])
+    assert isinstance(fits[1], ValueError) and str(fits[1]) == ZERO_BASELINE
+    for scan, batched in ((good[0], fits[0]), (good[1], fits[2])):
+        alone = fit_scan(scan)
+        for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+            assert getattr(batched, name) == pytest.approx(getattr(alone, name), rel=1e-12)
+
+
 @pytest.mark.parametrize("scale", [5e307, 1e308])
 def test_error_bars_stay_finite_near_the_float_limit(scale):
     # the squared fringe amplitude overflows here, so the covariance must not form it
