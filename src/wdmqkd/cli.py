@@ -13,6 +13,11 @@ is byte-deterministic under a fixed seed.  Exit status is 0 on success
 (degenerate scans are flagged in the summaries, not errors), 2 for a
 configuration problem or any other rejected value (e.g. qkd on a channel
 with zero rate in both bands), and 1 for I/O failures.
+
+This module alone turns results into file text.  Every CSV is a header
+line, then one line per row of ``repr`` values joined by commas (a scan
+CSV starts with '# ' comment lines); every JSON file is indented with
+sorted keys.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +35,9 @@ import numpy as np
 from .biphoton import BiphotonPureState, PairState, ProductState, coincidence_probabilities
 from .config import ConfigError, RunConfig, config_to_dict, load_config, source_channels
 from .correlation import estimate_f, shift_table
-from .detection import scan_to_csv, simulate_scans
-from .qkd import report_to_dict, reports_to_csv, run_bbm92, wdm_aggregate
-from .scanfit import PERIOD_DEG, fit_result_to_dict, fit_scans, scan_metrics
+from .detection import simulate_scans
+from .qkd import run_bbm92, wdm_aggregate
+from .scanfit import PERIOD_DEG, fit_scans, scan_metrics
 from .spectral import SpectralChannel, channel_state
 
 __all__ = [
@@ -58,6 +63,16 @@ FIGURE_SETS = (
     ("f1_alpha60", 1.0, 60.0),
     ("f173_alpha0", 1.73, 0.0),
 )
+
+# Column names of the key tables (CSV and JSON), one per ChannelKeyReport field in order.
+REPORT_COLUMNS = ("lambda_nm", "sifted_bits", "qber_rect", "qber_diag", "secret_fraction", "secret_bits")
+
+
+def _write_csv(path: Path, header, rows, comments=()) -> None:
+    """'# ' comment lines, the header line, then each row's repr values joined by commas."""
+    lines = [*(f"# {line}" for line in comments), ",".join(header)]
+    lines += (",".join(map(repr, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -117,8 +132,7 @@ def cmd_theory_scan(
             )
     out = _out_dir(cfg)
     for label, rates in zip(labels, curves):
-        text = "".join(map("{!r},{!r}\n".format, THEORY_GRID_DEG, rates))
-        (out / f"theory_scan_thetas_{label}.csv").write_text("theta_i_deg,rate\n" + text)
+        _write_csv(out / f"theory_scan_thetas_{label}.csv", ("theta_i_deg", "rate"), zip(THEORY_GRID_DEG, rates))
     rows = []
     for entry in shift_table(state, thetas, reference=0.0):
         rows.append(
@@ -162,11 +176,27 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
     fits = fit_scans([scan for _, scan, _ in scanned])
     out = _out_dir(cfg)
     for (stem, scan, row), fit in zip(scanned, fits):
-        (out / f"scan_{stem}.csv").write_text(scan_to_csv(scan))
+        _write_csv(
+            out / f"scan_{stem}.csv",
+            ("theta_deg", "counts"),
+            zip(scan.angles, scan.counts),
+            (f"fixed_arm={scan.theta_fixed_arm}", f"fixed_theta_deg={scan.theta_fixed!r}", f"seed={scan.config.seed}"),
+        )
         if isinstance(fit, ValueError):
             row["error"] = str(fit)
             continue
-        _write_json(out / f"fit_{stem}.json", fit_result_to_dict(fit))
+        fitted = {
+            "c": fit.c,
+            "v": fit.v,
+            "theta0_deg": fit.theta0,
+            "period_deg": PERIOD_DEG,
+            "c_err": fit.c_err,
+            "v_err": fit.v_err,
+            "theta0_err_deg": fit.theta0_err,
+            "chi2_reduced": fit.chi2_reduced,
+            "converged": fit.converged,
+        }
+        _write_json(out / f"fit_{stem}.json", fitted)
         metrics = scan_metrics(fit)
         row.update(
             {
@@ -204,8 +234,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
                 "f_hat_inv": f_hat_inv,
             }
         )
-    lines = [",".join(rows[0]), *(",".join(map(repr, row.values())) for row in rows)]
-    (_out_dir(cfg) / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(_out_dir(cfg) / "spectrum.csv", rows[0], (row.values() for row in rows))
     return rows
 
 
@@ -220,8 +249,11 @@ def cmd_qkd(cfg: RunConfig) -> dict:
         )
     summary = wdm_aggregate(reports)
     out = _out_dir(cfg)
-    (out / "key_reports.csv").write_text(reports_to_csv(summary.channels))
-    _write_json(out / "key_reports.json", [report_to_dict(r) for r in summary.channels])
+    table = [astuple(r) for r in summary.channels]
+    _write_csv(out / "key_reports.csv", REPORT_COLUMNS, table)
+    # the JSON table writes a NaN QBER (no pair sifted in that basis) as null
+    nulled = ([None if math.isnan(v) else v for v in row] for row in table)
+    _write_json(out / "key_reports.json", [dict(zip(REPORT_COLUMNS, row, strict=True)) for row in nulled])
     totals = {
         "n_channels": len(summary.channels),
         "total_sifted_bits": summary.total_sifted_bits,

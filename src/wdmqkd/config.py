@@ -2,19 +2,20 @@
 
 A config file holds a master seed, an output directory, and four sections
 (source, detection, fit, qkd).  The master seed is stored only as the seed
-of the detection and qkd sections; ``RunConfig.seed`` reads it back.  Every
-key is optional and defaults are filled in; unknown or duplicate keys are
-rejected with their dotted path so typos fail loudly instead of silently
-running defaults.  Angles and wavelengths in the file are degrees and
-nanometers.  The fit section's one key, period_deg, may only be 180
-(``scanfit.PERIOD_DEG``); it is kept so that existing configs and echoes
-still load.
+of the detection and qkd sections, which RunConfig requires to be equal;
+``RunConfig.seed`` reads it back.  Every key is optional and defaults are
+filled in; unknown or duplicate keys are rejected with their dotted path so
+typos fail loudly instead of silently running defaults.  Angles and
+wavelengths in the file are degrees and nanometers.  The fit section's one
+key, period_deg, may only be 180 (``scanfit.PERIOD_DEG``); it is kept so
+that existing configs and echoes still load.
 
 Each section is one key table: file key -> (attribute, type).  The reader
 uses it to reject unknown keys and read each value typed and finite-checked,
 a missing key keeping the attribute of the section's default object
-(``SourceConfig()``, ``DetectionConfig()``, ``ProtocolConfig()``); range
-checks stay hand-written.  The writer uses it for the echo: commands write
+(``SourceConfig()``, ``DetectionConfig()``, ``ProtocolConfig()``), whose
+class then checks the ranges, so a section built in code is checked as a
+loaded one is.  The writer uses it for the echo: commands write
 ``config_to_dict`` next to their outputs, and loading that echo reproduces
 the RunConfig exactly.
 """
@@ -96,6 +97,24 @@ class SourceConfig:
             value = getattr(self, name)
             if value not in choices:
                 raise ConfigError(f"key 'source.{name}' must be one of {choices}, got {value!r}")
+        for name in ("pump_nm", "alpha_deg", "lambda_min_nm", "lambda_max_nm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"key 'source.{name}' must be finite, got {getattr(self, name)}")
+        pump_nm, lo, hi = self.pump_nm, self.lambda_min_nm, self.lambda_max_nm
+        if pump_nm <= 0.0:
+            raise ConfigError(f"key 'source.pump_nm' must be > 0, got {pump_nm}")
+        if not lo <= hi:
+            raise ConfigError(
+                f"key 'source.lambda_min_nm' ({lo}) must not exceed 'source.lambda_max_nm' ({hi})"
+            )
+        if lo <= pump_nm:
+            raise ConfigError(
+                f"key 'source.lambda_min_nm' ({lo}) must exceed the pump wavelength ({pump_nm})"
+            )
+        if self.n_channels < 1:
+            raise ConfigError(f"key 'source.n_channels' must be >= 1, got {self.n_channels}")
+        if self.n_channels > MAX_CHANNELS:
+            raise ConfigError(f"key 'source.n_channels' must be <= {MAX_CHANNELS}, got {self.n_channels}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,13 @@ class RunConfig:
     source: SourceConfig = SourceConfig()
     detection: DetectionConfig = DetectionConfig()
     qkd: ProtocolConfig = ProtocolConfig()
+
+    def __post_init__(self) -> None:
+        if self.detection.seed != self.qkd.seed:
+            raise ConfigError(
+                f"detection.seed ({self.detection.seed}) and qkd.seed ({self.qkd.seed}) differ;"
+                " both must carry the one master seed"
+            )
 
     @property
     def seed(self) -> int:
@@ -200,30 +226,6 @@ def _section(section: dict, keys: dict, default, path: str):
         raise ConfigError(f"section '{path.rstrip('.')}': {exc}") from None
 
 
-def _parse_source(section: dict, path: str = "source.") -> SourceConfig:
-    _reject_unknown(section, _SOURCE_KEYS, path)
-    values = _read(section, _SOURCE_KEYS, SourceConfig(), path)
-    source = SourceConfig(**values)  # checks kind and f_convention
-    pump_nm = values["pump_nm"]
-    if pump_nm <= 0.0:
-        raise ConfigError(f"key '{path}pump_nm' must be > 0, got {pump_nm}")
-    lo, hi = values["lambda_min_nm"], values["lambda_max_nm"]
-    if not lo <= hi:
-        raise ConfigError(
-            f"key '{path}lambda_min_nm' ({lo}) must not exceed '{path}lambda_max_nm' ({hi})"
-        )
-    if lo <= pump_nm:
-        raise ConfigError(
-            f"key '{path}lambda_min_nm' ({lo}) must exceed the pump wavelength ({pump_nm})"
-        )
-    n_channels = values["n_channels"]
-    if n_channels < 1:
-        raise ConfigError(f"key '{path}n_channels' must be >= 1, got {n_channels}")
-    if n_channels > MAX_CHANNELS:
-        raise ConfigError(f"key '{path}n_channels' must be <= {MAX_CHANNELS}, got {n_channels}")
-    return source
-
-
 def _parse_qkd(section: dict, seed: int, path: str = "qkd.") -> ProtocolConfig:
     default = ProtocolConfig(seed=seed)
     # n_pairs is range-checked ahead of ProtocolConfig, whose own message
@@ -255,7 +257,10 @@ def _build_run_config(raw: dict) -> RunConfig:
         raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
     section = lambda key: _get(raw, key, {}, dict, "")
     out_dir = _get(raw, "out_dir", default.out_dir, str, "")
-    source = _parse_source(section("source"))
+    # read as _section reads, but unprefixed: SourceConfig's own errors name their keys
+    raw_source = section("source")
+    _reject_unknown(raw_source, _SOURCE_KEYS, "source.")
+    source = SourceConfig(**_read(raw_source, _SOURCE_KEYS, SourceConfig(), "source."))
     detection = _section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection.")
     _check_fit(section("fit"))  # checked in the echo's section order; it holds nothing to keep
     return RunConfig(out_dir, source, detection, _parse_qkd(section("qkd"), seed))

@@ -33,7 +33,6 @@ __all__ = [
     "expected_mean",
     "simulate_scan",
     "simulate_scans",
-    "scan_to_csv",
 ]
 
 SCAN_ARMS = ("signal", "idler")
@@ -210,21 +209,4 @@ def simulate_scan(
 ) -> ScanData:
     """Simulate one polarizer scan; fixed is (arm, angle_deg).  See simulate_scans."""
     return simulate_scans(state, fixed[0], (fixed[1],), angles, config, channel_id)[0]
-
-
-def scan_to_csv(scan: ScanData) -> str:
-    """Serialize a scan to CSV text.
-
-    Layout: comment lines carrying the fixed-arm metadata and seed, then a
-    ``theta_deg,counts`` header and one row per point.
-    """
-    lines = [
-        f"# fixed_arm={scan.theta_fixed_arm}",
-        f"# fixed_theta_deg={scan.theta_fixed!r}",
-        f"# seed={scan.config.seed}",
-        "theta_deg,counts",
-    ]
-    for theta, count in zip(scan.angles, scan.counts):
-        lines.append(f"{theta!r},{count}")
-    return "\n".join(lines) + "\n"
 

@@ -14,7 +14,7 @@ wavelength-multiplexed link.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "derive_flips",
     "run_bbm92",
     "wdm_aggregate",
-    "reports_to_csv",
-    "report_to_dict",
 ]
 
 RECTILINEAR_DEG = 0.0
@@ -82,10 +80,6 @@ class ChannelKeyReport:
     qber_diag: float
     secret_fraction: float
     secret_bits_estimate: float
-
-
-# Column names of the key tables (CSV and JSON), one per ChannelKeyReport field in order.
-REPORT_COLUMNS = ("lambda_nm", "sifted_bits", "qber_rect", "qber_diag", "secret_fraction", "secret_bits")
 
 
 @dataclass(frozen=True)
@@ -194,13 +188,3 @@ def wdm_aggregate(reports) -> WdmSummary:
         total_secret_bits=sum(r.secret_bits_estimate for r in channels),
     )
 
-
-def report_to_dict(report: ChannelKeyReport) -> dict:
-    """JSON-ready form of a report; NaN values map to null."""
-    return {k: None if math.isnan(v) else v for k, v in zip(REPORT_COLUMNS, astuple(report), strict=True)}
-
-
-def reports_to_csv(reports) -> str:
-    """Per-channel key table as CSV text."""
-    lines = [",".join(REPORT_COLUMNS), *(",".join(map(repr, astuple(r))) for r in reports)]
-    return "\n".join(lines) + "\n"

@@ -38,7 +38,6 @@ __all__ = [
     "fit_scan",
     "fit_scans",
     "scan_metrics",
-    "fit_result_to_dict",
 ]
 
 PERIOD_DEG = 180.0  # fringe period of the fit model, degrees
@@ -248,17 +247,3 @@ def scan_metrics(fit: FitResult) -> ScanMetrics:
         visibility_err=fit.v_err,
     )
 
-
-def fit_result_to_dict(fit: FitResult) -> dict:
-    """JSON-ready summary of a fit (fixed key set, angles in degrees)."""
-    return {
-        "c": fit.c,
-        "v": fit.v,
-        "theta0_deg": fit.theta0,
-        "period_deg": PERIOD_DEG,
-        "c_err": fit.c_err,
-        "v_err": fit.v_err,
-        "theta0_err_deg": fit.theta0_err,
-        "chi2_reduced": fit.chi2_reduced,
-        "converged": fit.converged,
-    }

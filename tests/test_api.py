@@ -13,6 +13,7 @@ from wdmqkd import (
     DetectionConfig,
     ProtocolConfig,
     ScanData,
+    SourceConfig,
     SpectralChannel,
     angle_stream_key,
     build_channels,
@@ -66,6 +67,12 @@ def test_package_reexports_every_public_name():
         (lambda: ProtocolConfig(seed=NAN), "seed"),
         (lambda: ProtocolConfig(flip_rectilinear="no"), "flip_rectilinear"),
         (lambda: ProtocolConfig(flip_diagonal=1), "flip_diagonal"),
+        (lambda: SourceConfig(alpha_deg=NAN), "source.alpha_deg"),
+        (lambda: SourceConfig(pump_nm=INF), "source.pump_nm"),
+        (lambda: SourceConfig(lambda_min_nm=NAN), "source.lambda_min_nm"),
+        (lambda: SourceConfig(lambda_max_nm=INF), "source.lambda_max_nm"),
+        (lambda: SourceConfig(pump_nm=-1.0), "source.pump_nm"),
+        (lambda: SourceConfig(n_channels=0), "source.n_channels"),
         (lambda: shift_table(BiphotonPureState(), [0.0], reference=NAN), "reference must"),
         (lambda: ScanData("signal", NAN, (0.0, 10.0), (1, 1)), "theta_fixed"),
         (lambda: ScanData("signal", 0.0, (0.0, INF), (1, 1)), "angles"),

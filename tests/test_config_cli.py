@@ -26,7 +26,7 @@ from wdmqkd import (
 from wdmqkd.cli import build_parser, main
 from wdmqkd.correlation import signed_angle_difference
 from wdmqkd.detection import MAX_MEAN, DetectionConfig
-from wdmqkd.qkd import MAX_PAIRS
+from wdmqkd.qkd import MAX_PAIRS, ProtocolConfig
 from wdmqkd.spectral import MAX_CHANNELS
 
 
@@ -65,6 +65,14 @@ def test_run_config_seed_is_read_only():
         replace(loads_config('{"seed": 5}'), seed=6)
 
 
+def test_run_config_holds_one_master_seed():
+    # sections with two different seeds would echo a config that reloads differently
+    with pytest.raises(ConfigError, match=r"detection.seed \(3\) and qkd.seed \(0\)"):
+        RunConfig(detection=DetectionConfig(seed=3))
+    cfg = RunConfig(detection=DetectionConfig(seed=3), qkd=ProtocolConfig(seed=3))
+    assert loads_config(json.dumps(config_to_dict(cfg))) == cfg
+
+
 def test_unknown_keys_rejected_with_path():
     with pytest.raises(ConfigError, match="unknown key 'sede'"):
         loads_config('{"sede": 5}')
@@ -98,10 +106,25 @@ def test_type_errors_name_the_key():
         loads_config('{"qkd": {"flip_rectilinear": 1}}')
 
 
-@pytest.mark.parametrize("field, value", [("kind", "produkt"), ("f_convention", "nope")])
-def test_source_config_rejects_unknown_choices_in_code(field, value):
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param(field, value, message, id=f"{field}-{value}")
+        for field, value, message in [
+            ("kind", "produkt", "must be one of"),
+            ("f_convention", "nope", "must be one of"),
+            ("n_channels", 0, "must be >= 1"),
+            ("n_channels", MAX_CHANNELS + 1, "must be <="),
+            ("pump_nm", -1.0, "must be > 0"),
+            ("alpha_deg", math.nan, "must be finite"),
+            ("lambda_min_nm", 880.0, r"\(880.0\) must not exceed"),
+            ("lambda_min_nm", 400.0, r"\(400.0\) must exceed the pump"),
+        ]
+    ],
+)
+def test_source_config_rejects_unknown_choices_in_code(field, value, message):
     # a SourceConfig built in code, not loaded, is checked as the loader checks it
-    with pytest.raises(ValueError, match=f"source.{field}' must be one of"):
+    with pytest.raises(ValueError, match=f"source.{field}' {message}"):
         RunConfig(source=SourceConfig(**{field: value}))
 
 

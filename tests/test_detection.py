@@ -12,13 +12,16 @@ from wdmqkd import (
     ProductState,
     ScanData,
     angle_stream_key,
+    channel_state,
     coincidence_probabilities,
     derive_stream,
     expected_mean,
-    scan_to_csv,
+    load_config,
     simulate_scan,
     simulate_scans,
+    source_channels,
 )
+from wdmqkd.cli import main
 
 ANGLES = tuple(float(t) for t in range(0, 181, 10))
 
@@ -206,11 +209,19 @@ def test_derive_stream_reproducible():
     assert a.integers(0, 1000, 5).tolist() == b.integers(0, 1000, 5).tolist()
 
 
-def test_scan_csv_round_trip():
-    state = BiphotonPureState(1.73, 0.0)
+def test_scan_csv_round_trip(tmp_path):
+    # the scan CSV that simulate-fit writes for channel 0 at theta_s = 45 deg
+    config_path = tmp_path / "run.json"
+    config_path.write_text('{"source": {"n_channels": 1}, "detection": {"accidental_rate_cps": 3.0}}')
+    texts = []
+    for run in ("a", "b"):
+        assert main(["simulate-fit", "--config", str(config_path), "--seed", "17", "--out", str(tmp_path / run)]) == 0
+        texts.append((tmp_path / run / "scan_ch00_thetas_45.csv").read_text())
+    source = load_config(config_path).source
+    state = channel_state(source_channels(source)[0], source.f_convention)
     config = DetectionConfig(seed=17, accidental_rate=3.0)
     scan = simulate_scan(state, ("signal", 45.0), ANGLES, config)
-    text = scan_to_csv(scan)
+    text = texts[0]
     lines = text.split("\n")
     assert lines[:4] == ["# fixed_arm=signal", "# fixed_theta_deg=45.0", "# seed=17", "theta_deg,counts"]
     assert lines[4] == f"0.0,{scan.counts[0]}"
@@ -218,7 +229,7 @@ def test_scan_csv_round_trip():
     assert [(float(theta), int(count)) for theta, count in rows] == list(zip(scan.angles, scan.counts))
     assert lines[-1] == ""  # one trailing newline
     # serialization is deterministic
-    assert scan_to_csv(scan) == text
+    assert texts[1] == text
 
 
 def test_scan_data_validation():

@@ -13,14 +13,17 @@ from hypothesis import strategies as st
 from wdmqkd import (
     BiphotonPureState,
     ProductState,
+    ProtocolConfig,
     RunConfig,
     chsh_optimize,
     coincidence_probabilities,
     coincidence_probability,
     correlation_E,
+    derive_flips,
     find_theta_max,
     fit_sinusoid,
     joint_outcome_distribution,
+    run_bbm92,
     scan_coefficients,
 )
 from wdmqkd.biphoton import MeasurementSetting, normalize_angle_deg
@@ -194,3 +197,24 @@ def test_every_statistic_on_a_mixed_state_matches_the_explicit_trace():
         assert s == pytest.approx(2.0 * np.linalg.norm(t), abs=1e-12)
         a, a_prime, b, b_prime = settings.a, settings.a_prime, settings.b, settings.b_prime
         assert s == pytest.approx(e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime), abs=1e-12)
+
+
+def test_keying_on_a_mixed_state_matches_the_explicit_trace():
+    # matched-basis outcomes disagree with probability (1 - E)/2, agree with (1 + E)/2
+    rng = np.random.default_rng(33)
+    sigma_z, sigma_x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    n_pairs = 10**12
+    for _ in range(50):
+        state = MixedState(rng)
+        e_zz = _born(state.density_matrix, sigma_z, sigma_z)
+        e_xx = _born(state.density_matrix, sigma_x, sigma_x)
+        for got, e in zip(derive_flips(state), (e_zz, e_xx)):
+            if abs(e) >= 1e-9:
+                assert got == (e < 0.0)
+        flips = [bool(b) for b in rng.integers(0, 2, size=2)]
+        config = ProtocolConfig(n_pairs, *flips, seed=int(rng.integers(2**32)))
+        report = run_bbm92(state, config)
+        for qber, e, flip in zip((report.qber_rect, report.qber_diag), (e_zz, e_xx), flips):
+            want = (1.0 + e) / 2.0 if flip else (1.0 - e) / 2.0
+            sigma = math.sqrt(want * (1.0 - want) / (n_pairs / 4))  # about n/4 pairs per matched basis
+            assert abs(qber - want) <= 6.0 * sigma + 1e-9

@@ -15,12 +15,11 @@ from wdmqkd import (
     ProtocolConfig,
     binary_entropy,
     derive_flips,
-    report_to_dict,
-    reports_to_csv,
     run_bbm92,
     secret_fraction,
     wdm_aggregate,
 )
+from wdmqkd.cli import main
 
 
 def test_binary_entropy_properties():
@@ -141,18 +140,29 @@ def test_wdm_aggregate_sums():
     assert len(summary.channels) == 3
 
 
-def test_report_serialization():
-    report = ChannelKeyReport(866.0, 50, 0.0, math.nan, 0.0, 0.0)
-    d = report_to_dict(report)
-    assert d["qber_diag"] is None
-    assert d["qber_rect"] == 0.0
-    assert d["lambda_nm"] == 866.0
-    json.dumps(d)  # NaN-free by construction
+def test_report_serialization(tmp_path):
+    # one pair per channel sifts into at most one basis, so some QBERs are NaN
+    config_path = tmp_path / "run.json"
+    config_path.write_text('{"qkd": {"n_pairs": 1}}')
+    assert main(["qkd", "--config", str(config_path), "--seed", "11", "--out", str(tmp_path / "out")]) == 0
+    json_text = (tmp_path / "out" / "key_reports.json").read_text()
+    reports = json.loads(json_text, parse_constant=pytest.fail)  # NaN-free by construction
+    assert "null" in json_text
 
-    csv_text = reports_to_csv([report])
-    lines = csv_text.strip().split("\n")
+    lines = (tmp_path / "out" / "key_reports.csv").read_text().strip().split("\n")
     assert lines[0] == "lambda_nm,sifted_bits,qber_rect,qber_diag,secret_fraction,secret_bits"
-    assert lines[1].startswith("866.0,50,0.0,nan,")
+    assert any("nan" in line.split(",") for line in lines[1:])
+    assert len(lines) - 1 == len(reports)
+    assert any(d["sifted_bits"] == 1 for d in reports)
+    columns = lines[0].split(",")
+    for line, d in zip(lines[1:], reports):
+        for column, cell in zip(columns, line.split(","), strict=True):
+            assert d[column] is None if cell == "nan" else d[column] == float(cell)
+        if d["sifted_bits"] == 1:  # one basis sifted its pair, the other none
+            basis, other = ("qber_rect", "qber_diag") if d["qber_diag"] is None else ("qber_diag", "qber_rect")
+            assert d[other] is None
+            assert d[basis] in (0.0, 1.0)
+            assert line.startswith(f"{d['lambda_nm']!r},1,")
 
 
 def test_protocol_config_validation():

@@ -1,5 +1,6 @@
 """Fringe fitting: exact recovery, canonical form, uncertainty behavior."""
 
+import json
 import math
 import types
 import warnings
@@ -12,7 +13,6 @@ from wdmqkd import (
     DetectionConfig,
     FitResult,
     ScanData,
-    fit_result_to_dict,
     fit_scan,
     fit_scans,
     fit_sinusoid,
@@ -22,6 +22,7 @@ from wdmqkd import (
     signed_angle_difference,
     visibility,
 )
+from wdmqkd.cli import main
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -141,9 +142,11 @@ def test_all_zero_counts_rejected():
         fit_sinusoid(ANGLES, np.zeros(ANGLES.shape))
 
 
-def test_fit_result_dict_keys():
-    y = fringe(ANGLES, 200.0, 0.3, 75.0)
-    d = fit_result_to_dict(fit_sinusoid(ANGLES, y))
+def test_fit_result_dict_keys(tmp_path):
+    config_path = tmp_path / "run.json"
+    config_path.write_text('{"source": {"n_channels": 1}}')
+    assert main(["simulate-fit", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    d = json.loads((tmp_path / "out" / "fit_ch00_thetas_45.json").read_text())
     assert sorted(d) == [
         "c",
         "c_err",
