@@ -183,6 +183,12 @@ def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
+def outcome_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
+    """Outcomes (tt, tr, rt, rr) on a new last axis; each reflect port sits at its set angle + 90 deg."""
+    theta_s, theta_i = np.asarray(theta_s)[..., None], np.asarray(theta_i)[..., None]
+    return coincidence_probabilities(state, theta_s + [0.0, 0.0, 90.0, 90.0], theta_i + [0.0, 90.0, 0.0, 90.0])
+
+
 def coincidence_probability(state: PairState, setting: MeasurementSetting) -> float:
     """Probability that both analyzers transmit at one setting."""
     return float(coincidence_probabilities(state, setting.theta_s, setting.theta_i))
@@ -219,19 +225,12 @@ def rate_expanded(f: float, alpha: float, setting: MeasurementSetting) -> float:
 def joint_outcome_distribution(
     state: PairState, setting: MeasurementSetting
 ) -> JointOutcomeDistribution:
-    """Four-outcome distribution behind two-output analyzers.
-
-    The transmit port of each analyzer sits at the set angle and the reflect
-    port at the set angle + 90 degrees.
+    """Four-outcome distribution behind two-output analyzers (see outcome_probabilities).
 
     Returns:
         JointOutcomeDistribution over (tt, tr, rt, rr), summing to one.
     """
-    ts, ti = setting.theta_s, setting.theta_i
-    p = coincidence_probabilities(
-        state, [ts, ts, ts + 90.0, ts + 90.0], [ti, ti + 90.0, ti, ti + 90.0]
-    )
-    return JointOutcomeDistribution(*p.tolist())
+    return JointOutcomeDistribution(*outcome_probabilities(state, setting.theta_s, setting.theta_i).tolist())
 
 
 def correlation_E(state: PairState, setting: MeasurementSetting) -> float:

@@ -6,9 +6,10 @@ of the detection and qkd sections, which RunConfig requires to be equal;
 ``RunConfig.seed`` reads it back.  Every key is optional and defaults are
 filled in; unknown or duplicate keys are rejected with their dotted path so
 typos fail loudly instead of silently running defaults.  Angles and
-wavelengths in the file are degrees and nanometers.  The fit section's one
-key, period_deg, may only be 180 (``scanfit.PERIOD_DEG``); it is kept so
-that existing configs and echoes still load.
+wavelengths in the file are degrees and nanometers.  Retired keys are kept
+so that existing configs and echoes still load: fit.period_deg may only be
+180 (``scanfit.PERIOD_DEG``), and qkd.flip_rectilinear and qkd.flip_diagonal
+must be bools and change nothing, as each channel's state sets its flips.
 
 Each section is one key table: file key -> (attribute, type).  The reader
 uses it to reject unknown keys and read each value typed and finite-checked,
@@ -93,13 +94,13 @@ class SourceConfig:
     spectrum_csv: str | None = None
 
     def __post_init__(self) -> None:
+        for key, attr, kind in _rows(_SOURCE_KEYS):  # the loader's type and finiteness checks
+            kind = SpectralProfile if isinstance(kind, dict) else kind
+            object.__setattr__(self, attr, _get({key: getattr(self, attr)}, key, None, kind, "source."))
         for name, choices in (("kind", SOURCE_KINDS), ("f_convention", RATIO_CONVENTIONS)):
             value = getattr(self, name)
             if value not in choices:
                 raise ConfigError(f"key 'source.{name}' must be one of {choices}, got {value!r}")
-        for name in ("pump_nm", "alpha_deg", "lambda_min_nm", "lambda_max_nm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"key 'source.{name}' must be finite, got {getattr(self, name)}")
         pump_nm, lo, hi = self.pump_nm, self.lambda_min_nm, self.lambda_max_nm
         if pump_nm <= 0.0:
             raise ConfigError(f"key 'source.pump_nm' must be > 0, got {pump_nm}")
@@ -115,28 +116,6 @@ class SourceConfig:
             raise ConfigError(f"key 'source.n_channels' must be >= 1, got {self.n_channels}")
         if self.n_channels > MAX_CHANNELS:
             raise ConfigError(f"key 'source.n_channels' must be <= {MAX_CHANNELS}, got {self.n_channels}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration."""
-
-    out_dir: str = "out"
-    source: SourceConfig = SourceConfig()
-    detection: DetectionConfig = DetectionConfig()
-    qkd: ProtocolConfig = ProtocolConfig()
-
-    def __post_init__(self) -> None:
-        if self.detection.seed != self.qkd.seed:
-            raise ConfigError(
-                f"detection.seed ({self.detection.seed}) and qkd.seed ({self.qkd.seed}) differ;"
-                " both must carry the one master seed"
-            )
-
-    @property
-    def seed(self) -> int:
-        """The master seed; the detection and qkd sections carry it."""
-        return self.detection.seed
 
 
 # Key tables, one per section: file key -> (attribute, type), or just the
@@ -166,7 +145,8 @@ _DETECTION_KEYS = {
     "accidental_rate_cps": ("accidental_rate", float),
     "integration_time_s": ("integration_time", float),
 }
-_QKD_KEYS = {"n_pairs": int, "flip_rectilinear": bool, "flip_diagonal": bool}
+# Attribute None: a retired key, still type-checked so old configs load, never kept or echoed.
+_QKD_KEYS = {"n_pairs": int, "flip_rectilinear": (None, bool), "flip_diagonal": (None, bool)}
 
 
 def _rows(keys: dict):
@@ -202,6 +182,28 @@ def _get(section: dict, key: str, default, kind, path: str):
     return value
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved run configuration."""
+
+    out_dir: str = "out"
+    source: SourceConfig = SourceConfig()
+    detection: DetectionConfig = DetectionConfig()
+    qkd: ProtocolConfig = ProtocolConfig()
+
+    def __post_init__(self) -> None:
+        if self.detection.seed != self.qkd.seed:
+            raise ConfigError(
+                f"detection.seed ({self.detection.seed}) and qkd.seed ({self.qkd.seed}) differ;"
+                " both must carry the one master seed"
+            )
+
+    @property
+    def seed(self) -> int:
+        """The master seed; the detection and qkd sections carry it."""
+        return self.detection.seed
+
+
 def _read(section: dict, keys: dict, default, path: str) -> dict:
     """Attribute -> value of every row; a missing key keeps default's value."""
     values = {}
@@ -209,6 +211,8 @@ def _read(section: dict, keys: dict, default, path: str) -> dict:
         if isinstance(kind, dict):  # a nested section
             nested = _get(section, key, {}, dict, path)
             values[attr] = _section(nested, kind, getattr(default, attr), f"{path}{key}.")
+        elif attr is None:  # a retired key, only type-checked (kind() when missing)
+            _get(section, key, kind(), kind, path)
         else:
             values[attr] = _get(section, key, getattr(default, attr), kind, path)
     return values
@@ -306,6 +310,7 @@ def _echo(obj, keys: dict) -> dict:
     return {
         key: _echo(getattr(obj, attr), kind) if isinstance(kind, dict) else getattr(obj, attr)
         for key, attr, kind in _rows(keys)
+        if attr is not None
     }
 
 

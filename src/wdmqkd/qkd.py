@@ -4,10 +4,12 @@ Both parties measure each incoming photon in a randomly chosen basis,
 rectilinear (analyzer at RECTILINEAR_DEG = 0 deg) or diagonal
 (DIAGONAL_DEG = 45 deg); the two angles are fixed.  Transmission maps to
 bit 0 and reflection to bit 1.  Pairs measured in different bases are
-discarded.  Depending on the state, matched-basis outcomes are correlated or
-anti-correlated per basis, so one party may flip its bits in a flagged basis
-before errors are counted.  The asymptotic secret fraction uses the usual
-two-basis entropy bound, and per-channel reports add up across a
+discarded.  In each basis a channel's matched-basis outcomes correlate or
+anti-correlate, as the sign of its correlation there says (Bennett, Brassard
+& Mermin 1992); one party inverts its bits in a basis exactly where that
+channel's outcomes disagree more often than they agree, so every channel is
+keyed with the flips of its own state.  The asymptotic secret fraction uses
+the usual two-basis entropy bound, and per-channel reports add up across a
 wavelength-multiplexed link.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import MeasurementSetting, PairState, coincidence_probabilities, correlation_E
+from .biphoton import PairState, outcome_probabilities
 from .detection import checked_int, derive_stream
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
 
 RECTILINEAR_DEG = 0.0
 DIAGONAL_DEG = 45.0
+_BASES = np.array([RECTILINEAR_DEG, DIAGONAL_DEG])
 
 # Largest pair count the multinomial draw accepts (a signed 64-bit integer).
 MAX_PAIRS = 2**63 - 1
@@ -43,27 +46,20 @@ MAX_PAIRS = 2**63 - 1
 class ProtocolConfig:
     """Protocol parameters of one key-exchange run.
 
+    There is no flip parameter: each channel's state sets its flips.
+
     Attributes:
         n_pairs: Number of distributed pairs, in [1, MAX_PAIRS].
-        flip_rectilinear: One party inverts its rectilinear-basis bits
-            (the default suits the anti-correlated rectilinear outcomes of
-            the cross-polarized source).
-        flip_diagonal: Same for the diagonal basis.
         seed: Master seed; each channel derives its stream from
             (seed, channel_id).
     """
 
     n_pairs: int = 100_000
-    flip_rectilinear: bool = True
-    flip_diagonal: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_pairs", checked_int(self.n_pairs, "n_pairs", 1, MAX_PAIRS))
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
-        for name in ("flip_rectilinear", "flip_diagonal"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -105,15 +101,18 @@ def secret_fraction(qber_rect: float, qber_diag: float) -> float:
     return max(0.0, 1.0 - binary_entropy(qber_rect) - binary_entropy(qber_diag))
 
 
-def derive_flips(state: PairState) -> tuple[bool, bool]:
-    """Calibrate the (rectilinear, diagonal) flips from the sign of the correlation.
+def _flips(p: np.ndarray) -> tuple[bool, bool]:
+    """Per basis, whether the cells p of matched bases disagree (tr, rt) more often than they agree (tt, rr)."""
+    return tuple(np.diagonal(p[..., 1] + p[..., 2] > p[..., 0] + p[..., 3]).tolist())
 
-    A negative correlation in a basis means matched-basis outcomes
-    anti-correlate there, so one party should invert its bits.
+
+def derive_flips(state: PairState) -> tuple[bool, bool]:
+    """The (rectilinear, diagonal) flips run_bbm92 applies to a channel in this state.
+
+    A basis is flipped exactly where matched-basis outcomes disagree more
+    often than they agree, that is where the correlation E is negative.
     """
-    e_rect = correlation_E(state, MeasurementSetting(RECTILINEAR_DEG, RECTILINEAR_DEG))
-    e_diag = correlation_E(state, MeasurementSetting(DIAGONAL_DEG, DIAGONAL_DEG))
-    return (e_rect < 0.0, e_diag < 0.0)
+    return _flips(outcome_probabilities(state, _BASES[:, None], _BASES))
 
 
 def run_bbm92(
@@ -129,7 +128,8 @@ def run_bbm92(
     the four-outcome distribution at the chosen angles.  The report depends
     only on the cell counts, so they are drawn as one multinomial over the
     16 cells, which has the same distribution as sampling every pair and
-    costs the same for any n_pairs.  The random stream is derived from
+    costs the same for any n_pairs.  The bit flips are read from the same
+    cell weights (derive_flips).  The random stream is derived from
     (config.seed, channel_id), so reruns with the same arguments reproduce
     the report exactly.
 
@@ -145,12 +145,7 @@ def run_bbm92(
     """
     rng = derive_stream(config.seed, channel_id)
     # Cell weights p[basis_s, basis_i, outcome], outcome 0 = tt, 1 = tr, 2 = rt, 3 = rr.
-    bases = np.array([RECTILINEAR_DEG, DIAGONAL_DEG])
-    p = coincidence_probabilities(
-        state,
-        bases[:, None, None] + np.array([0.0, 0.0, 90.0, 90.0]),
-        bases[None, :, None] + np.array([0.0, 90.0, 0.0, 90.0]),
-    )
+    p = outcome_probabilities(state, _BASES[:, None], _BASES)
     counts = rng.multinomial(config.n_pairs, (p / p.sum()).ravel()).reshape(2, 2, 4).tolist()
 
     def qber(basis: int, flip: bool) -> float:
@@ -158,8 +153,7 @@ def run_bbm92(
         n = tt + tr + rt + rr
         return math.nan if n == 0 else ((tt + rr) if flip else (tr + rt)) / n
 
-    qber_rect = qber(0, config.flip_rectilinear)
-    qber_diag = qber(1, config.flip_diagonal)
+    qber_rect, qber_diag = map(qber, (0, 1), _flips(p))
     sifted_bits = sum(counts[0][0]) + sum(counts[1][1])
     if math.isnan(qber_rect) or math.isnan(qber_diag):
         fraction = 0.0

@@ -21,6 +21,7 @@ from wdmqkd import (
     derive_stream,
     estimate_f,
     idler_wavelength,
+    loads_config,
     run_bbm92,
     shift_table,
     signed_angle_difference,
@@ -65,14 +66,18 @@ def test_package_reexports_every_public_name():
         (lambda: DetectionConfig(seed=NAN), "seed"),
         (lambda: ProtocolConfig(seed=INF), "seed"),
         (lambda: ProtocolConfig(seed=NAN), "seed"),
-        (lambda: ProtocolConfig(flip_rectilinear="no"), "flip_rectilinear"),
-        (lambda: ProtocolConfig(flip_diagonal=1), "flip_diagonal"),
+        # the two retired flip keys are still type-checked when a config loads
+        (lambda: loads_config('{"qkd": {"flip_rectilinear": "no"}}'), "flip_rectilinear"),
+        (lambda: loads_config('{"qkd": {"flip_diagonal": 1}}'), "flip_diagonal"),
         (lambda: SourceConfig(alpha_deg=NAN), "source.alpha_deg"),
         (lambda: SourceConfig(pump_nm=INF), "source.pump_nm"),
         (lambda: SourceConfig(lambda_min_nm=NAN), "source.lambda_min_nm"),
         (lambda: SourceConfig(lambda_max_nm=INF), "source.lambda_max_nm"),
         (lambda: SourceConfig(pump_nm=-1.0), "source.pump_nm"),
         (lambda: SourceConfig(n_channels=0), "source.n_channels"),
+        (lambda: SourceConfig(n_channels=2.5), "'source.n_channels' must be of type int, got 2.5"),
+        (lambda: SourceConfig(n_channels=True), "'source.n_channels' must be of type int, got True"),
+        (lambda: SourceConfig(pump_nm="400"), "'source.pump_nm' must be of type float, got '400'"),
         (lambda: shift_table(BiphotonPureState(), [0.0], reference=NAN), "reference must"),
         (lambda: ScanData("signal", NAN, (0.0, 10.0), (1, 1)), "theta_fixed"),
         (lambda: ScanData("signal", 0.0, (0.0, INF), (1, 1)), "angles"),

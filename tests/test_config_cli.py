@@ -29,6 +29,8 @@ from wdmqkd.detection import MAX_MEAN, DetectionConfig
 from wdmqkd.qkd import MAX_PAIRS, ProtocolConfig
 from wdmqkd.spectral import MAX_CHANNELS
 
+RETIRED_QKD_KEYS = ("flip_rectilinear", "flip_diagonal")
+
 
 def test_defaults():
     cfg = RunConfig()
@@ -41,7 +43,8 @@ def test_defaults():
     assert cfg.detection.pair_rate == 2000.0
     assert config_to_dict(cfg)["fit"] == {"period_deg": 180.0}
     assert cfg.qkd.n_pairs == 100_000
-    assert cfg.qkd.flip_rectilinear is True
+    # no flip options: each channel's state sets its flips
+    assert config_to_dict(cfg)["qkd"] == {"n_pairs": 100_000}
 
 
 def test_minimal_config_fills_defaults():
@@ -287,7 +290,12 @@ def test_fit_section_still_loads_with_its_one_value(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     for workload in workloads.WORKLOADS:
         plan = json.loads(workloads.make_inputs(workload, 1, 1.0, tmp_path / workload).read_text())
-        assert config_to_dict(load_config(plan["config"]))["fit"] == {"period_deg": 180.0}
+        echo = config_to_dict(load_config(plan["config"]))
+        assert echo["fit"] == {"period_deg": 180.0}
+        # the two retired flip keys it writes load too, and are not echoed
+        qkd = json.loads(Path(plan["config"]).read_text())["qkd"]
+        assert set(qkd) == {"n_pairs", *RETIRED_QKD_KEYS}
+        assert echo["qkd"] == {"n_pairs": qkd["n_pairs"]}
     with pytest.raises(ConfigError, match=r"fit\.period_deg"):
         loads_config('{"fit": {"period_deg": 360.0}}')
 
@@ -505,7 +513,11 @@ def test_config_echo_round_trip_property(raw):
     echo = config_to_dict(cfg)
     assert loads_config(json.dumps(echo)) == cfg
     assert config_to_dict(loads_config(json.dumps(echo))) == echo
-    _assert_given_keys_echoed(raw, echo)
+    # the retired flip keys load, change nothing and are not echoed
+    kept = {**raw, "qkd": {k: v for k, v in raw.get("qkd", {}).items() if k not in RETIRED_QKD_KEYS}}
+    assert loads_config(json.dumps(kept)) == cfg
+    assert not set(RETIRED_QKD_KEYS) & set(echo["qkd"])
+    _assert_given_keys_echoed(kept, echo)
 
 
 # --- CLI ---

@@ -8,12 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wdmqkd.qkd
 from wdmqkd import (
     BiphotonPureState,
     ChannelKeyReport,
+    MeasurementSetting,
     ProductState,
     ProtocolConfig,
     binary_entropy,
+    correlation_E,
     derive_flips,
     run_bbm92,
     secret_fraction,
@@ -70,16 +73,45 @@ def test_ideal_bell_state_keys_perfectly():
     assert abs(report.sifted_bits - 10000) < 4.0 * math.sqrt(20000 * 0.25)
 
 
-def test_alpha_pi_without_recalibration_fails_diagonal():
-    config = ProtocolConfig(n_pairs=20000, seed=3)  # flips tuned for alpha = 0
-    report = run_bbm92(BiphotonPureState(1.0, math.pi), config)
+def test_alpha_pi_keys_without_recalibration():
+    # both bases anti-correlate at alpha = pi, and the channel's own flips say so
+    state = BiphotonPureState(1.0, math.pi)
+    assert derive_flips(state) == (True, True)
+    report = run_bbm92(state, ProtocolConfig(n_pairs=20000, seed=3))
     assert report.qber_rect == 0.0
-    assert report.qber_diag == 1.0
-    assert report.secret_fraction == 1.0  # h(0) + h(1) = 0: deterministic errors
-    flips = derive_flips(BiphotonPureState(1.0, math.pi))
-    recal = ProtocolConfig(n_pairs=20000, seed=3, flip_rectilinear=flips[0], flip_diagonal=flips[1])
-    report = run_bbm92(BiphotonPureState(1.0, math.pi), recal)
     assert report.qber_diag == 0.0
+    assert report.secret_fraction == 1.0
+
+
+def test_derive_flips_are_the_correlation_signs():
+    rng = np.random.default_rng(21)
+    states = [BiphotonPureState(f, a) for f, a in zip(rng.uniform(0.0, 4.0, 1000), rng.uniform(0.0, 7.0, 1000))]
+    for state in [*states, ProductState()]:
+        want = tuple(correlation_E(state, MeasurementSetting(b, b)) < 0.0 for b in (0.0, 45.0))
+        assert derive_flips(state) == want, state
+
+
+def test_run_bbm92_flips_from_its_one_outcome_table(monkeypatch):
+    # one Born-rule evaluation per channel gives both the cell weights and the flips
+    calls = []
+    table = wdmqkd.qkd.outcome_probabilities
+    monkeypatch.setattr(wdmqkd.qkd, "outcome_probabilities", lambda *args: calls.append(args) or table(*args))
+    state = BiphotonPureState(1.3, 2.0)  # diagonal correlation negative
+    report = run_bbm92(state, ProtocolConfig(n_pairs=10**12, seed=4))
+    assert len(calls) == 1
+    e_diag = correlation_E(state, MeasurementSetting(45.0, 45.0))
+    assert abs(report.qber_diag - (1.0 + e_diag) / 2.0) < 1e-5
+
+
+@pytest.mark.parametrize("alpha_deg", [0, 60, 120, 180, 240, 300])
+def test_qkd_qbers_stay_at_most_half_at_every_phase(alpha_deg, tmp_path):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"source": {"alpha_deg": alpha_deg}}))
+    assert main(["qkd", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    for report in json.loads((tmp_path / "out" / "key_reports.json").read_text()):
+        n_basis = report["sifted_bits"] / 2.0
+        for name in ("qber_rect", "qber_diag"):
+            assert report[name] <= 0.5 + 6.0 * math.sqrt(0.25 / n_basis), (report["lambda_nm"], name)
 
 
 def test_unbalanced_state_diagonal_qber():
