@@ -103,7 +103,7 @@ def secret_fraction(qber_rect: float, qber_diag: float) -> float:
 
 def _flips(p: np.ndarray) -> tuple[bool, bool]:
     """Per basis, whether the cells p of matched bases disagree (tr, rt) more often than they agree (tt, rr)."""
-    return tuple(np.diagonal(p[..., 1] + p[..., 2] > p[..., 0] + p[..., 3]).tolist())
+    return tuple(tr + rt > tt + rr for tt, tr, rt, rr in p.diagonal().T.tolist())
 
 
 def derive_flips(state: PairState) -> tuple[bool, bool]:
