@@ -5,8 +5,9 @@ config, the exit code, stderr and the text of every output file, with the
 temporary directory the case ran in written as ``<tmp>``.  Text is compared
 token by token: strings and integers exactly, floats within 1e-12 relative
 or 1e-15 absolute, so rounding dust from another numpy build passes.  The
-curve CSVs of ``reproduce-figures`` are stored as SHA-256 digests only and
-checked only under the numpy version the fixture was recorded with.
+curve CSVs of ``reproduce-figures`` and every file of the two runs on the
+default 8-channel config are stored as SHA-256 digests only and checked
+only under the numpy version the fixture was recorded with.
 
 A deliberate output change regenerates the fixture with
 
@@ -38,7 +39,14 @@ CONFIGS = {
     "default": {"source": {"n_channels": 2}},
     "product": {"source": {"n_channels": 2, "kind": "product"}},
     "dark": {"source": {"n_channels": 2, "lambda_min_nm": 1090.0, "lambda_max_nm": 1100.0}},
+    "product-dark": {
+        "source": {"n_channels": 2, "kind": "product", "lambda_min_nm": 1090.0, "lambda_max_nm": 1100.0}
+    },
+    "one-sided": {"source": {"n_channels": 2, "hv_profile": {"peak_cps": 0.0}}},
+    "product-one-sided": {"source": {"n_channels": 2, "kind": "product", "hv_profile": {"peak_cps": 0.0}}},
 }
+# cases whose every file is stored as a digest: the default config's 8 channels
+FULL_CASES = ("simulate-fit-8-channels", "qkd-8-channels")
 # case name -> (command and its own flags, config)
 CASES = {
     **{
@@ -51,11 +59,13 @@ CASES = {
     "qkd-alpha180": (["qkd"], {"source": {"n_channels": 2, "alpha_deg": 180.0}}),
     "theory-scan-edges-product": (["theory-scan", EDGE_ANGLES, "--product"], {}),
     "theory-scan-edges-f0": (["theory-scan", EDGE_ANGLES, "--f", "0"], {}),
+    "simulate-fit-8-channels": (["simulate-fit"], {}),
+    "qkd-8-channels": (["qkd"], {}),
 }
 
 
 def _digest_only(case: str, name: str) -> bool:
-    return case == "reproduce-figures" and name.endswith(".csv")
+    return case in FULL_CASES or (case == "reproduce-figures" and name.endswith(".csv"))
 
 
 def run_case(case: str, tmp: Path) -> dict:
@@ -72,9 +82,9 @@ def run_case(case: str, tmp: Path) -> dict:
     for path in sorted(out.rglob("*")) if out.exists() else ():
         if path.is_file():
             name = path.relative_to(out).as_posix()
-            text = path.read_text()
+            text = normalize(path.read_text())
             digest = {"sha256": hashlib.sha256(text.encode()).hexdigest()}
-            files[name] = digest if _digest_only(case, name) else normalize(text)
+            files[name] = digest if _digest_only(case, name) else text
     return {
         "argv": [normalize(arg) for arg in full],
         "config": config,
@@ -144,11 +154,12 @@ def test_outputs_match_the_fixture(case, recorded, tmp_path):
 def test_curve_digests_match_under_the_recorded_numpy(recorded, tmp_path):
     if np.__version__ != recorded["numpy"]:
         pytest.skip(f"curve digests were recorded under numpy {recorded['numpy']}, not {np.__version__}")
-    case = "reproduce-figures"
-    want, got = recorded["cases"][case]["files"], run_case(case, tmp_path)["files"]
-    for name in want:
-        if _digest_only(case, name):
-            assert got[name] == want[name], f"{case}/{name}"
+    for case in ("reproduce-figures", *FULL_CASES):
+        (tmp_path / case).mkdir()
+        want, got = recorded["cases"][case]["files"], run_case(case, tmp_path / case)["files"]
+        for name in want:
+            if _digest_only(case, name):
+                assert got[name] == want[name], f"{case}/{name}"
 
 
 def regenerate() -> None:
