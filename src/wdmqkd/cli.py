@@ -12,7 +12,7 @@ directory once, writes its outputs plus a resolved-config echo into it, and
 is byte-deterministic under a fixed seed.  Exit status is 0 on success
 (degenerate scans are flagged in the summaries, not errors), 2 for a
 configuration problem or any other rejected value (e.g. qkd on a channel
-with zero rate in both bands), and 1 for I/O failures.
+with zero rate in both bands, of either source kind), and 1 for I/O failures.
 
 This module alone turns results into file text.  Every CSV is a header
 line, then one line per row of ``repr`` values joined by commas (a scan
@@ -33,12 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .biphoton import BiphotonPureState, PairState, ProductState, coincidence_probabilities
-from .config import ConfigError, RunConfig, config_to_dict, load_config, source_channels
+from .config import ConfigError, RunConfig, config_to_dict, load_config, source_channels, source_state
 from .correlation import estimate_f, shift_table
 from .detection import simulate_scans
 from .qkd import run_bbm92, wdm_aggregate
 from .scanfit import PERIOD_DEG, fit_scans, scan_metrics
-from .spectral import SpectralChannel, channel_state
 
 __all__ = [
     "main",
@@ -84,13 +83,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _channel_state(cfg: RunConfig, channel: SpectralChannel) -> PairState:
-    """The state a channel emits: the product baseline or its entangled state."""
-    if cfg.source.kind == "product":
-        return ProductState()
-    return channel_state(channel, cfg.source.f_convention)
 
 
 def _angle_label(theta: float) -> str:
@@ -155,15 +147,15 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
     Each channel's scans are simulated in one call, and the whole run's
     scans are fitted in one batched solve.  Writes one scan CSV and one fit
     JSON per (channel, angle) and a summary with fitted peaks and
-    visibilities.  Failures (a fit that cannot run, a channel whose ratio is
-    infinite under the configured convention) are recorded per row and do
-    not abort the run.
+    visibilities.  Failures (a fit that cannot run, a channel with no state:
+    dark under either source kind, or an entangled one whose ratio is infinite
+    under the configured convention) are recorded per row and do not abort the run.
     """
     rows, scanned = [], []  # scanned: (file stem, scan, its summary row)
     for k, channel in enumerate(source_channels(cfg.source)):
         head = {"channel": k, "lambda_signal_nm": channel.lambda_signal}
         try:
-            state = _channel_state(cfg, channel)
+            state = source_state(cfg.source, channel)
         except ValueError as exc:
             rows.append({**head, "error": str(exc)})
             continue
@@ -240,13 +232,10 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
 
 def cmd_qkd(cfg: RunConfig) -> dict:
     """Run the key exchange on every channel and write reports plus totals."""
-    channels = source_channels(cfg.source)
-    reports = []
-    for k, channel in enumerate(channels):
-        state = _channel_state(cfg, channel)
-        reports.append(
-            run_bbm92(state, cfg.qkd, channel_id=k, lambda_signal=channel.lambda_signal)
-        )
+    reports = [
+        run_bbm92(source_state(cfg.source, channel), cfg.qkd, channel_id=k, lambda_signal=channel.lambda_signal)
+        for k, channel in enumerate(source_channels(cfg.source))
+    ]
     summary = wdm_aggregate(reports)
     out = _out_dir(cfg)
     table = [astuple(r) for r in summary.channels]

@@ -10,6 +10,7 @@ wavelengths in the file are degrees and nanometers.  Retired keys are kept
 so that existing configs and echoes still load: fit.period_deg may only be
 180 (``scanfit.PERIOD_DEG``), and qkd.flip_rectilinear and qkd.flip_diagonal
 must be bools and change nothing, as each channel's state sets its flips.
+``source_state`` alone decides, by the source kind, the state a channel emits.
 
 Each section is one key table: file key -> (attribute, type).  The reader
 uses it to reject unknown keys and read each value typed and finite-checked,
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .biphoton import PairState, ProductState
 from .detection import DetectionConfig
 from .qkd import MAX_PAIRS, ProtocolConfig
 from .scanfit import PERIOD_DEG
@@ -42,6 +44,7 @@ from .spectral import (
     TabulatedSpectrum,
     build_channels,
     build_channels_from_table,
+    channel_state,
     default_profiles,
 )
 
@@ -264,7 +267,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     # read as _section reads, but unprefixed: SourceConfig's own errors name their keys
     raw_source = section("source")
     _reject_unknown(raw_source, _SOURCE_KEYS, "source.")
-    source = SourceConfig(**_read(raw_source, _SOURCE_KEYS, SourceConfig(), "source."))
+    source = SourceConfig(**_read(raw_source, _SOURCE_KEYS, default.source, "source."))
     detection = _section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection.")
     _check_fit(section("fit"))  # checked in the echo's section order; it holds nothing to keep
     return RunConfig(out_dir, source, detection, _parse_qkd(section("qkd"), seed))
@@ -337,3 +340,11 @@ def source_channels(source: SourceConfig) -> tuple[SpectralChannel, ...]:
     if source.spectrum_csv is not None:
         return build_channels_from_table(TabulatedSpectrum.from_csv(source.spectrum_csv), **grid)
     return build_channels(source.hv_profile, source.vh_profile, **grid)
+
+
+def source_state(source: SourceConfig, channel: SpectralChannel) -> PairState:
+    """The state a channel emits: the +45 product state on a lit channel of a product source,
+    else ``channel_state`` under the source's convention, which rejects a dark channel of either kind."""
+    if source.kind == "product" and (channel.rate_HV > 0.0 or channel.rate_VH > 0.0):
+        return ProductState()
+    return channel_state(channel, source.f_convention)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import BiphotonPureState
-from .correlation import estimate_f
 
 __all__ = [
     "DEFAULT_PUMP_NM",
@@ -274,7 +273,7 @@ def channel_state(
 
     Args:
         channel: Spectral channel with its two term rates.
-        convention: 'ratio_as_f' or 'ratio_as_inverse_f'; see RATIO_CONVENTIONS.
+        convention: 'ratio_as_f' takes f = sqrt(rate_VH / rate_HV); 'ratio_as_inverse_f' swaps the rate columns.
 
     Raises:
         ValueError: For an unknown convention, a dark channel (both rates
@@ -285,16 +284,16 @@ def channel_state(
         raise ValueError(
             f"unknown ratio convention {convention!r}, expected one of {RATIO_CONVENTIONS}"
         )
-    if channel.rate_HV == 0.0 and channel.rate_VH == 0.0:
+    rates = (channel.rate_HV, channel.rate_VH)
+    hv, vh = rates if convention == "ratio_as_f" else rates[::-1]
+    if hv == 0.0 and vh == 0.0:
         raise ValueError(
             f"channel at {channel.lambda_signal!r} nm has zero rate in both bands; "
             "its amplitude ratio is undefined"
         )
-    est = estimate_f(channel.rate_HV, channel.rate_VH)
-    f = est.f_hat if convention == "ratio_as_f" else est.f_hat_inverse
-    if math.isinf(f):
+    if hv == 0.0 or math.isinf(vh / hv):  # vh / hv overflows when hv is subnormal
         raise ValueError(
             f"amplitude ratio is infinite under {convention}; "
             "swap the term labeling (use the other convention)"
         )
-    return BiphotonPureState(f=f, alpha=channel.alpha)
+    return BiphotonPureState(math.sqrt(vh / hv), channel.alpha)
