@@ -23,11 +23,13 @@ from wdmqkd import (
     loads_config,
     source_channels,
 )
+from wdmqkd.biphoton import BiphotonPureState, ProductState
 from wdmqkd.cli import build_parser, main
+from wdmqkd.config import source_state
 from wdmqkd.correlation import signed_angle_difference
 from wdmqkd.detection import MAX_MEAN, DetectionConfig
 from wdmqkd.qkd import MAX_PAIRS, ProtocolConfig
-from wdmqkd.spectral import MAX_CHANNELS
+from wdmqkd.spectral import MAX_CHANNELS, SpectralChannel
 
 RETIRED_QKD_KEYS = ("flip_rectilinear", "flip_diagonal")
 
@@ -609,6 +611,44 @@ def test_cli_dark_channels(tmp_path):
     assert "1100.0 nm" in errors[7]
 
     assert main(["qkd", "--config", str(cfg_path), "--out", str(tmp_path / "qkd")]) == 2
+
+
+DARK_MESSAGE = "channel at 1100.0 nm has zero rate in both bands; its amplitude ratio is undefined"
+INFINITE_MESSAGE = "amplitude ratio is infinite under ratio_as_f; swap the term labeling (use the other convention)"
+
+
+@pytest.mark.parametrize(
+    "kind, rates, expected",
+    [
+        ("entangled", (300.0, 100.0), BiphotonPureState(math.sqrt(100.0 / 300.0), 0.5)),
+        ("entangled", (0.0, 100.0), INFINITE_MESSAGE),
+        ("entangled", (5e-324, 100.0), INFINITE_MESSAGE),  # the ratio overflows
+        ("entangled", (0.0, 0.0), DARK_MESSAGE),
+        ("product", (300.0, 100.0), ProductState()),
+        ("product", (0.0, 100.0), ProductState()),
+        ("product", (0.0, 0.0), DARK_MESSAGE),
+    ],
+)
+def test_source_state_of_each_kind_and_channel(kind, rates, expected):
+    # a lit, a one-sided and a dark channel: a dark one has no state under either kind
+    channel = SpectralChannel(1100.0, 700.0, *rates, 0.5)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc_info:
+            source_state(SourceConfig(kind=kind), channel)
+        assert str(exc_info.value) == expected
+    else:
+        assert source_state(SourceConfig(kind=kind), channel) == expected
+
+
+def test_cli_qkd_rejects_dark_channels_of_a_product_source(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "product", "lambda_max_nm": 1100}}))
+    out = tmp_path / "qkd"
+    assert main(["qkd", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: channel at 1031.4285714285713 nm has zero rate in both bands; its amplitude ratio is undefined\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_simulate_fit_all_zero_scan(tmp_path):
