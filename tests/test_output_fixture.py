@@ -2,9 +2,11 @@
 
 ``tests/fixtures/outputs.json`` records, for each case below, the argv, the
 config, the exit code, stderr and the text of every output file, with the
-temporary directory the case ran in written as ``<tmp>``.  Text is compared
-token by token: strings and integers exactly, floats within 1e-12 relative
-or 1e-15 absolute, so rounding dust from another numpy build passes.  The
+temporary directory the case ran in written as ``<tmp>``.  A config that
+names ``<tmp>/spectrum.csv`` runs on ``SPECTRUM_TABLE``, written there.
+Text is compared token by token: strings and integers exactly, floats
+within 1e-12 relative or 1e-15 absolute, so rounding dust from another
+numpy build passes.  The
 curve CSVs of ``reproduce-figures`` and every file of the two runs on the
 default 8-channel config are stored as SHA-256 digests only and checked
 only under the numpy version the fixture was recorded with.
@@ -45,6 +47,13 @@ CONFIGS = {
     "one-sided": {"source": {"n_channels": 2, "hv_profile": {"peak_cps": 0.0}}},
     "product-one-sided": {"source": {"n_channels": 2, "kind": "product", "hv_profile": {"peak_cps": 0.0}}},
 }
+# source paths only the commands that read the source take: the label-swapped
+# ratio reading and a tabulated spectrum
+SOURCE_CONFIGS = {
+    "inverse": {"source": {"n_channels": 2, "f_convention": "ratio_as_inverse_f"}},
+    "table": {"source": {"n_channels": 2, "spectrum_csv": "<tmp>/spectrum.csv"}},
+}
+SPECTRUM_TABLE = "lambda_nm,rate_hv,rate_vh\n858.0,900.0,300.0\n866.0,600.0,600.0\n876.0,200.0,1000.0\n"
 # cases whose every file is stored as a digest: the default config's 8 channels
 FULL_CASES = ("simulate-fit-8-channels", "qkd-8-channels")
 # case name -> (command and its own flags, config)
@@ -53,6 +62,11 @@ CASES = {
         f"{command}-{name}": ([command], config)
         for command in ("theory-scan", "simulate-fit", "spectrum", "qkd")
         for name, config in CONFIGS.items()
+    },
+    **{
+        f"{command}-{name}": ([command], config)
+        for command in ("simulate-fit", "spectrum", "qkd")
+        for name, config in SOURCE_CONFIGS.items()
     },
     "reproduce-figures": (["reproduce-figures"], CONFIGS["default"]),
     "qkd-one-pair": (["qkd"], {"source": {"n_channels": 2}, "qkd": {"n_pairs": 1}}),
@@ -72,7 +86,11 @@ def run_case(case: str, tmp: Path) -> dict:
     """Run one case in tmp and return its record, with tmp written as <tmp>."""
     argv, config = CASES[case]
     config_path, out = tmp / "config.json", tmp / "out"
-    config_path.write_text(json.dumps(config))
+    written = config
+    if "spectrum_csv" in config.get("source", {}):  # always <tmp>/spectrum.csv
+        (tmp / "spectrum.csv").write_text(SPECTRUM_TABLE)
+        written = {**config, "source": {**config["source"], "spectrum_csv": str(tmp / "spectrum.csv")}}
+    config_path.write_text(json.dumps(written))
     full = [argv[0], "--config", str(config_path), "--seed", SEED, "--out", str(out), *argv[1:]]
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
