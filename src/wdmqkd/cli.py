@@ -34,10 +34,11 @@ import numpy as np
 
 from .biphoton import BiphotonPureState, PairState, ProductState, coincidence_probabilities
 from .config import ConfigError, RunConfig, config_to_dict, load_config, source_channels, source_state
-from .correlation import estimate_f, shift_table
+from .correlation import shift_table
 from .detection import simulate_scans
 from .qkd import run_bbm92, wdm_aggregate
 from .scanfit import PERIOD_DEG, fit_scans, scan_metrics
+from .spectral import estimate_f
 
 __all__ = [
     "main",

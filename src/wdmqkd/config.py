@@ -6,20 +6,22 @@ of the detection and qkd sections, which RunConfig requires to be equal;
 ``RunConfig.seed`` reads it back.  Every key is optional and defaults are
 filled in; unknown or duplicate keys are rejected with their dotted path so
 typos fail loudly instead of silently running defaults.  Angles and
-wavelengths in the file are degrees and nanometers.  Retired keys are kept
-so that existing configs and echoes still load: fit.period_deg may only be
-180 (``scanfit.PERIOD_DEG``), and qkd.flip_rectilinear and qkd.flip_diagonal
-must be bools and change nothing, as each channel's state sets its flips.
-``source_state`` alone decides, by the source kind, the state a channel emits.
+wavelengths in the file are degrees and nanometers.  Retired keys load, so
+existing configs and echoes still do, but are never kept or echoed:
+fit.period_deg may only be 180 (``scanfit.PERIOD_DEG``), and
+qkd.flip_rectilinear and qkd.flip_diagonal must be bools, as each channel's
+state sets its flips.  ``source_state`` alone decides, by the source kind,
+the state a channel emits.
 
-Each section is one key table: file key -> (attribute, type).  The reader
-uses it to reject unknown keys and read each value typed and finite-checked,
-a missing key keeping the attribute of the section's default object
-(``SourceConfig()``, ``DetectionConfig()``, ``ProtocolConfig()``), whose
-class then checks the ranges, so a section built in code is checked as a
-loaded one is.  The writer uses it for the echo: commands write
-``config_to_dict`` next to their outputs, and loading that echo reproduces
-the RunConfig exactly.
+Each section but fit is one key table, file key -> (attribute, type), read
+by ``_section``: unknown keys are rejected, each value is read typed and
+finite-checked, and a missing key keeps the attribute of the section's
+default object, whose class then checks the ranges, so a section built in
+code is checked as a loaded one is.  The reader's own faults name the dotted
+key; the class's errors get the prefix ``section '<path>': `` unless they
+are ConfigErrors, which name their key (every SourceConfig error).  The echo
+(``config_to_dict``, written next to every command's outputs) is built from
+the same tables, and loading it reproduces the RunConfig exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 
 from .biphoton import PairState, ProductState
 from .detection import DetectionConfig
-from .qkd import MAX_PAIRS, ProtocolConfig
+from .qkd import ProtocolConfig
 from .scanfit import PERIOD_DEG
 from .spectral import (
     DEFAULT_CHANNEL_COUNT,
@@ -161,9 +163,7 @@ def _rows(keys: dict):
 def _reject_unknown(section: dict, allowed, path: str) -> None:
     for key in section:
         if key not in allowed:
-            raise ConfigError(
-                f"unknown key '{path}{key}' (allowed: {', '.join(allowed)})"
-            )
+            raise ConfigError(f"unknown key '{path}{key}' (allowed: {', '.join(allowed)})")
 
 
 def _get(section: dict, key: str, default, kind, path: str):
@@ -212,8 +212,7 @@ def _read(section: dict, keys: dict, default, path: str) -> dict:
     values = {}
     for key, attr, kind in _rows(keys):
         if isinstance(kind, dict):  # a nested section
-            nested = _get(section, key, {}, dict, path)
-            values[attr] = _section(nested, kind, getattr(default, attr), f"{path}{key}.")
+            values[attr] = _section(section, key, kind, getattr(default, attr), path)
         elif attr is None:  # a retired key, only type-checked (kind() when missing)
             _get(section, key, kind(), kind, path)
         else:
@@ -221,29 +220,21 @@ def _read(section: dict, keys: dict, default, path: str) -> dict:
     return values
 
 
-def _section(section: dict, keys: dict, default, path: str):
-    """default with the section read over it; its class validates the values.
+def _section(parent: dict, key: str, keys: dict, default, path: str = ""):
+    """default with the section parent[key] read over it; its class validates the values.
 
-    Any error but an unknown key is prefixed with the section's name.
+    A ValueError of the class that is not a ConfigError (which names its key)
+    is prefixed with the section's name.
     """
+    section, path = _get(parent, key, {}, dict, path), f"{path}{key}."
     _reject_unknown(section, keys, path)
+    values = _read(section, keys, default, path)
     try:
-        return replace(default, **_read(section, keys, default, path))
+        return replace(default, **values)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"section '{path.rstrip('.')}': {exc}") from None
-
-
-def _parse_qkd(section: dict, seed: int, path: str = "qkd.") -> ProtocolConfig:
-    default = ProtocolConfig(seed=seed)
-    # n_pairs is range-checked ahead of ProtocolConfig, whose own message
-    # would not name the key; unknown keys are still reported first.
-    _reject_unknown(section, _QKD_KEYS, path)
-    n_pairs = _get(section, "n_pairs", default.n_pairs, int, path)
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ConfigError(
-            f"section 'qkd': key '{path}n_pairs' must be in [1, 2**63 - 1], got {n_pairs}"
-        )
-    return _section(section, _QKD_KEYS, default, path)
 
 
 def _check_fit(section: dict, path: str = "fit.") -> None:
@@ -262,15 +253,11 @@ def _build_run_config(raw: dict) -> RunConfig:
     seed = _get(raw, "seed", default.seed, int, "")
     if seed < 0:
         raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
-    section = lambda key: _get(raw, key, {}, dict, "")
     out_dir = _get(raw, "out_dir", default.out_dir, str, "")
-    # read as _section reads, but unprefixed: SourceConfig's own errors name their keys
-    raw_source = section("source")
-    _reject_unknown(raw_source, _SOURCE_KEYS, "source.")
-    source = SourceConfig(**_read(raw_source, _SOURCE_KEYS, default.source, "source."))
-    detection = _section(section("detection"), _DETECTION_KEYS, DetectionConfig(seed=seed), "detection.")
-    _check_fit(section("fit"))  # checked in the echo's section order; it holds nothing to keep
-    return RunConfig(out_dir, source, detection, _parse_qkd(section("qkd"), seed))
+    source = _section(raw, "source", _SOURCE_KEYS, default.source)
+    detection = _section(raw, "detection", _DETECTION_KEYS, DetectionConfig(seed=seed))
+    _check_fit(_get(raw, "fit", {}, dict, ""))  # retired: checked in its place, never kept
+    return RunConfig(out_dir, source, detection, _section(raw, "qkd", _QKD_KEYS, ProtocolConfig(seed=seed)))
 
 
 def _no_duplicates(pairs):
@@ -324,7 +311,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "out_dir": cfg.out_dir,
         "source": _echo(cfg.source, _SOURCE_KEYS),
         "detection": _echo(cfg.detection, _DETECTION_KEYS),
-        "fit": {"period_deg": PERIOD_DEG},
         "qkd": _echo(cfg.qkd, _QKD_KEYS),
     }
 

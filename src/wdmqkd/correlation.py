@@ -23,14 +23,12 @@ __all__ = [
     "ThetaMaxResult",
     "ShiftEntry",
     "ChshSettings",
-    "FEstimate",
     "scan_coefficients",
     "find_theta_max",
     "shift_table",
     "visibility",
     "chsh_value",
     "chsh_optimize",
-    "estimate_f",
     "signed_angle_difference",
 ]
 
@@ -90,19 +88,6 @@ class ChshSettings:
     def __post_init__(self) -> None:
         for name in ("a", "a_prime", "b", "b_prime"):
             object.__setattr__(self, name, float(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class FEstimate:
-    """Amplitude-ratio estimate from the two cross-polarized singles rates.
-
-    The measured rate ratio fixes f only up to the labeling of the two terms,
-    so both readings are reported: f_hat = sqrt(rate_VH / rate_HV) and its
-    reciprocal.  A zero rate on one side makes one member infinite.
-    """
-
-    f_hat: float
-    f_hat_inverse: float
 
 
 def signed_angle_difference(theta: float, reference: float) -> float:
@@ -242,22 +227,3 @@ def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
         angle(u[:, 1]), angle(u[:, 0]), angle(along + across), angle(along - across)
     )
     return settings, _chsh(t, settings)
-
-
-def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:
-    """Estimate the amplitude ratio from the two cross-polarized rates.
-
-    The |H>_s|V>_i term carries weight 1 and the |V>_s|H>_i term weight f^2,
-    so f_hat = sqrt(rate_VH / rate_HV).  Because the measured ratio does not
-    fix which term is which, the reciprocal reading is returned alongside.
-
-    Raises:
-        ValueError: If a rate is negative or not finite, or both rates are zero.
-    """
-    if not (0.0 <= rate_HV < math.inf and 0.0 <= rate_VH < math.inf):
-        raise ValueError(f"rates must be finite and >= 0, got (rate_HV={rate_HV}, rate_VH={rate_VH})")
-    if rate_HV == 0.0 and rate_VH == 0.0:
-        raise ValueError("both rates are zero, amplitude ratio is undefined")
-    f_hat = math.sqrt(rate_VH / rate_HV) if rate_HV > 0.0 else math.inf
-    f_inv = math.sqrt(rate_HV / rate_VH) if rate_VH > 0.0 else math.inf
-    return FEstimate(f_hat=f_hat, f_hat_inverse=f_inv)

@@ -43,9 +43,9 @@ __all__ = [
 PERIOD_DEG = 180.0  # fringe period of the fit model, degrees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted fringe parameters.
+    """Fitted fringe parameters; fits compare and hash by every field.
 
     Attributes:
         c: Baseline count level, model counts at zero visibility.
@@ -56,6 +56,7 @@ class FitResult:
             coefficients carried through the map to (c, v, theta0); the
             entries of a parameter are inf when it is unidentifiable, e.g.
             theta0 of a constant scan, or v and theta0 at subnormal counts.
+            The fit holds its own read-only copy.
         chi2_reduced: Weighted residual sum over (n_points - 3).
         converged: Always True for a returned fit: the solves are a fixed
             sequence with no convergence test, and input they cannot fit
@@ -70,6 +71,20 @@ class FitResult:
     chi2_reduced: float
     converged: bool
     n_points: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "covariance", np.array(self.covariance, dtype=float))
+        self.covariance.flags.writeable = False
+
+    def _key(self) -> tuple:  # every field, the covariance entry by entry
+        return (self.c, self.v, self.theta0, *self.covariance.ravel().tolist(),
+                self.chi2_reduced, self.converged, self.n_points)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def c_err(self) -> float:
@@ -179,7 +194,7 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
     for k, ck, vk, tk, cov, chi2 in zip(
         good, c.tolist(), v.tolist(), theta0.tolist(), covariance, chi2_reduced.tolist()
     ):
-        fit = FitResult(ck, vk, tk, cov.copy(), chi2, True, int(theta.size))
+        fit = FitResult(ck, vk, tk, cov, chi2, True, int(theta.size))
         results[k] = fit if math.isfinite(vk) else ValueError("the fitted baseline c rounds to 0, so v is undefined")
     return results
 

@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_CHANNEL_RANGE_NM",
     "DEFAULT_CHANNEL_COUNT",
     "RATIO_CONVENTIONS",
+    "FEstimate",
     "SpectralProfile",
     "SpectralChannel",
     "TabulatedSpectrum",
@@ -33,6 +34,7 @@ __all__ = [
     "default_profiles",
     "build_channels",
     "build_channels_from_table",
+    "estimate_f",
     "channel_state",
 ]
 
@@ -266,6 +268,33 @@ def build_channels_from_table(
     return _build(lambda lam: (table.rate_hv(lam), table.rate_vh(lam)), alpha, lambda_range, n_channels, pump_nm)
 
 
+@dataclass(frozen=True)
+class FEstimate:
+    """The two readings of the amplitude ratio (see estimate_f); a zero rate makes one infinite."""
+
+    f_hat: float
+    f_hat_inverse: float
+
+
+def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:
+    """Estimate the amplitude ratio from the two cross-polarized rates.
+
+    The |H>_s|V>_i term carries weight 1 and the |V>_s|H>_i term weight f^2,
+    so f_hat = sqrt(rate_VH / rate_HV).  Because the measured ratio does not
+    fix which term is which, the reciprocal reading is returned alongside.
+
+    Raises:
+        ValueError: If a rate is negative or not finite, or both rates are zero.
+    """
+    if not (0.0 <= rate_HV < math.inf and 0.0 <= rate_VH < math.inf):
+        raise ValueError(f"rates must be finite and >= 0, got (rate_HV={rate_HV}, rate_VH={rate_VH})")
+    if rate_HV == 0.0 and rate_VH == 0.0:
+        raise ValueError("both rates are zero, amplitude ratio is undefined")
+    f_hat = math.sqrt(rate_VH / rate_HV) if rate_HV > 0.0 else math.inf
+    f_inv = math.sqrt(rate_HV / rate_VH) if rate_VH > 0.0 else math.inf
+    return FEstimate(f_hat=f_hat, f_hat_inverse=f_inv)
+
+
 def channel_state(
     channel: SpectralChannel, convention: str = "ratio_as_f"
 ) -> BiphotonPureState:
@@ -273,7 +302,8 @@ def channel_state(
 
     Args:
         channel: Spectral channel with its two term rates.
-        convention: 'ratio_as_f' takes f = sqrt(rate_VH / rate_HV); 'ratio_as_inverse_f' swaps the rate columns.
+        convention: 'ratio_as_f' takes estimate_f's f_hat = sqrt(rate_VH / rate_HV),
+            'ratio_as_inverse_f' its f_hat_inverse.
 
     Raises:
         ValueError: For an unknown convention, a dark channel (both rates
@@ -284,16 +314,16 @@ def channel_state(
         raise ValueError(
             f"unknown ratio convention {convention!r}, expected one of {RATIO_CONVENTIONS}"
         )
-    rates = (channel.rate_HV, channel.rate_VH)
-    hv, vh = rates if convention == "ratio_as_f" else rates[::-1]
-    if hv == 0.0 and vh == 0.0:
+    if channel.rate_HV == 0.0 and channel.rate_VH == 0.0:
         raise ValueError(
             f"channel at {channel.lambda_signal!r} nm has zero rate in both bands; "
             "its amplitude ratio is undefined"
         )
-    if hv == 0.0 or math.isinf(vh / hv):  # vh / hv overflows when hv is subnormal
+    est = estimate_f(channel.rate_HV, channel.rate_VH)
+    f = est.f_hat if convention == "ratio_as_f" else est.f_hat_inverse
+    if math.isinf(f):  # a zero rate under the root, or a ratio that overflows (subnormal rate)
         raise ValueError(
             f"amplitude ratio is infinite under {convention}; "
             "swap the term labeling (use the other convention)"
         )
-    return BiphotonPureState(math.sqrt(vh / hv), channel.alpha)
+    return BiphotonPureState(f, channel.alpha)

@@ -43,7 +43,7 @@ def test_defaults():
     assert cfg.source.n_channels == 8
     assert (cfg.source.lambda_min_nm, cfg.source.lambda_max_nm) == (860.0, 874.0)
     assert cfg.detection.pair_rate == 2000.0
-    assert config_to_dict(cfg)["fit"] == {"period_deg": 180.0}
+    assert "fit" not in config_to_dict(cfg)  # retired: the fit period is fixed at 180
     assert cfg.qkd.n_pairs == 100_000
     # no flip options: each channel's state sets its flips
     assert config_to_dict(cfg)["qkd"] == {"n_pairs": 100_000}
@@ -158,7 +158,9 @@ def test_value_constraints_name_the_key():
 
 @pytest.mark.parametrize("value", ["Infinity", "NaN", str(2**63), str(2**70)])
 def test_unsupported_n_pairs_rejected_with_path(value):
-    with pytest.raises(ConfigError, match="qkd.n_pairs"):
+    # a non-integer is the reader's type fault; an integer out of range is ProtocolConfig's
+    match = "qkd.n_pairs" if value in ("Infinity", "NaN") else r"section 'qkd': n_pairs must be an integer in \[1, "
+    with pytest.raises(ConfigError, match=match):
         loads_config('{"qkd": {"n_pairs": %s}}' % value)
 
 
@@ -293,7 +295,7 @@ def test_fit_section_still_loads_with_its_one_value(tmp_path, monkeypatch):
     for workload in workloads.WORKLOADS:
         plan = json.loads(workloads.make_inputs(workload, 1, 1.0, tmp_path / workload).read_text())
         echo = config_to_dict(load_config(plan["config"]))
-        assert echo["fit"] == {"period_deg": 180.0}
+        assert "fit" not in echo
         # the two retired flip keys it writes load too, and are not echoed
         qkd = json.loads(Path(plan["config"]).read_text())["qkd"]
         assert set(qkd) == {"n_pairs", *RETIRED_QKD_KEYS}
@@ -344,34 +346,34 @@ SINGLE_FAULT_MESSAGES = [
     ('{"source": {"lambda_min_nm": NaN}}', "key 'source.lambda_min_nm' must be finite, got nan"),
     ('{"source": {"lambda_max_nm": "x"}}', "key 'source.lambda_max_nm' must be of type float, got 'x'"),
     ('{"source": {"lambda_max_nm": NaN}}', "key 'source.lambda_max_nm' must be finite, got nan"),
-    ('{"detection": {"pair_rate_cps": "x"}}', "section 'detection': key 'detection.pair_rate_cps' must be of type float, got 'x'"),
-    ('{"detection": {"pair_rate_cps": NaN}}', "section 'detection': key 'detection.pair_rate_cps' must be finite, got nan"),
-    ('{"detection": {"efficiency_signal": "x"}}', "section 'detection': key 'detection.efficiency_signal' must be of type float, got 'x'"),
-    ('{"detection": {"efficiency_signal": NaN}}', "section 'detection': key 'detection.efficiency_signal' must be finite, got nan"),
-    ('{"detection": {"efficiency_idler": "x"}}', "section 'detection': key 'detection.efficiency_idler' must be of type float, got 'x'"),
-    ('{"detection": {"efficiency_idler": NaN}}', "section 'detection': key 'detection.efficiency_idler' must be finite, got nan"),
-    ('{"detection": {"accidental_rate_cps": "x"}}', "section 'detection': key 'detection.accidental_rate_cps' must be of type float, got 'x'"),
-    ('{"detection": {"accidental_rate_cps": NaN}}', "section 'detection': key 'detection.accidental_rate_cps' must be finite, got nan"),
-    ('{"detection": {"integration_time_s": "x"}}', "section 'detection': key 'detection.integration_time_s' must be of type float, got 'x'"),
-    ('{"detection": {"integration_time_s": NaN}}', "section 'detection': key 'detection.integration_time_s' must be finite, got nan"),
+    ('{"detection": {"pair_rate_cps": "x"}}', "key 'detection.pair_rate_cps' must be of type float, got 'x'"),
+    ('{"detection": {"pair_rate_cps": NaN}}', "key 'detection.pair_rate_cps' must be finite, got nan"),
+    ('{"detection": {"efficiency_signal": "x"}}', "key 'detection.efficiency_signal' must be of type float, got 'x'"),
+    ('{"detection": {"efficiency_signal": NaN}}', "key 'detection.efficiency_signal' must be finite, got nan"),
+    ('{"detection": {"efficiency_idler": "x"}}', "key 'detection.efficiency_idler' must be of type float, got 'x'"),
+    ('{"detection": {"efficiency_idler": NaN}}', "key 'detection.efficiency_idler' must be finite, got nan"),
+    ('{"detection": {"accidental_rate_cps": "x"}}', "key 'detection.accidental_rate_cps' must be of type float, got 'x'"),
+    ('{"detection": {"accidental_rate_cps": NaN}}', "key 'detection.accidental_rate_cps' must be finite, got nan"),
+    ('{"detection": {"integration_time_s": "x"}}', "key 'detection.integration_time_s' must be of type float, got 'x'"),
+    ('{"detection": {"integration_time_s": NaN}}', "key 'detection.integration_time_s' must be finite, got nan"),
     ('{"fit": {"period_deg": "x"}}', "key 'fit.period_deg' must be of type float, got 'x'"),
     ('{"fit": {"period_deg": NaN}}', "key 'fit.period_deg' must be finite, got nan"),
     ('{"source": {"hv_profile": 5}}', "key 'source.hv_profile' must be of type dict, got 5"),
-    ('{"source": {"hv_profile": {"center_nm": "x"}}}', "section 'source.hv_profile': key 'source.hv_profile.center_nm' must be of type float, got 'x'"),
-    ('{"source": {"hv_profile": {"center_nm": NaN}}}', "section 'source.hv_profile': key 'source.hv_profile.center_nm' must be finite, got nan"),
-    ('{"source": {"hv_profile": {"fwhm_nm": "x"}}}', "section 'source.hv_profile': key 'source.hv_profile.fwhm_nm' must be of type float, got 'x'"),
-    ('{"source": {"hv_profile": {"fwhm_nm": NaN}}}', "section 'source.hv_profile': key 'source.hv_profile.fwhm_nm' must be finite, got nan"),
-    ('{"source": {"hv_profile": {"peak_cps": "x"}}}', "section 'source.hv_profile': key 'source.hv_profile.peak_cps' must be of type float, got 'x'"),
-    ('{"source": {"hv_profile": {"peak_cps": NaN}}}', "section 'source.hv_profile': key 'source.hv_profile.peak_cps' must be finite, got nan"),
+    ('{"source": {"hv_profile": {"center_nm": "x"}}}', "key 'source.hv_profile.center_nm' must be of type float, got 'x'"),
+    ('{"source": {"hv_profile": {"center_nm": NaN}}}', "key 'source.hv_profile.center_nm' must be finite, got nan"),
+    ('{"source": {"hv_profile": {"fwhm_nm": "x"}}}', "key 'source.hv_profile.fwhm_nm' must be of type float, got 'x'"),
+    ('{"source": {"hv_profile": {"fwhm_nm": NaN}}}', "key 'source.hv_profile.fwhm_nm' must be finite, got nan"),
+    ('{"source": {"hv_profile": {"peak_cps": "x"}}}', "key 'source.hv_profile.peak_cps' must be of type float, got 'x'"),
+    ('{"source": {"hv_profile": {"peak_cps": NaN}}}', "key 'source.hv_profile.peak_cps' must be finite, got nan"),
     ('{"source": {"hv_profile": {"fwhm_nm": 0.0}}}', "section 'source.hv_profile': profile width must be > 0, got 0.0"),
     ('{"source": {"hv_profile": {"peak_cps": -1.0}}}', "section 'source.hv_profile': profile peak must be >= 0, got -1.0"),
     ('{"source": {"vh_profile": 5}}', "key 'source.vh_profile' must be of type dict, got 5"),
-    ('{"source": {"vh_profile": {"center_nm": "x"}}}', "section 'source.vh_profile': key 'source.vh_profile.center_nm' must be of type float, got 'x'"),
-    ('{"source": {"vh_profile": {"center_nm": NaN}}}', "section 'source.vh_profile': key 'source.vh_profile.center_nm' must be finite, got nan"),
-    ('{"source": {"vh_profile": {"fwhm_nm": "x"}}}', "section 'source.vh_profile': key 'source.vh_profile.fwhm_nm' must be of type float, got 'x'"),
-    ('{"source": {"vh_profile": {"fwhm_nm": NaN}}}', "section 'source.vh_profile': key 'source.vh_profile.fwhm_nm' must be finite, got nan"),
-    ('{"source": {"vh_profile": {"peak_cps": "x"}}}', "section 'source.vh_profile': key 'source.vh_profile.peak_cps' must be of type float, got 'x'"),
-    ('{"source": {"vh_profile": {"peak_cps": NaN}}}', "section 'source.vh_profile': key 'source.vh_profile.peak_cps' must be finite, got nan"),
+    ('{"source": {"vh_profile": {"center_nm": "x"}}}', "key 'source.vh_profile.center_nm' must be of type float, got 'x'"),
+    ('{"source": {"vh_profile": {"center_nm": NaN}}}', "key 'source.vh_profile.center_nm' must be finite, got nan"),
+    ('{"source": {"vh_profile": {"fwhm_nm": "x"}}}', "key 'source.vh_profile.fwhm_nm' must be of type float, got 'x'"),
+    ('{"source": {"vh_profile": {"fwhm_nm": NaN}}}', "key 'source.vh_profile.fwhm_nm' must be finite, got nan"),
+    ('{"source": {"vh_profile": {"peak_cps": "x"}}}', "key 'source.vh_profile.peak_cps' must be of type float, got 'x'"),
+    ('{"source": {"vh_profile": {"peak_cps": NaN}}}', "key 'source.vh_profile.peak_cps' must be finite, got nan"),
     ('{"source": {"vh_profile": {"fwhm_nm": 0.0}}}', "section 'source.vh_profile': profile width must be > 0, got 0.0"),
     ('{"source": {"vh_profile": {"peak_cps": -1.0}}}', "section 'source.vh_profile': profile peak must be >= 0, got -1.0"),
     ('{"source": {"kind": 5}}', "key 'source.kind' must be of type str, got 5"),
@@ -394,12 +396,12 @@ SINGLE_FAULT_MESSAGES = [
     ('{"fit": {"period_deg": 90.0}}', "key 'fit.period_deg' must be 180, got 90.0"),
     ('{"fit": {"period_deg": 90}}', "key 'fit.period_deg' must be 180, got 90.0"),
     ('{"qkd": {"n_pairs": "x"}}', "key 'qkd.n_pairs' must be of type int, got 'x'"),
-    ('{"qkd": {"n_pairs": 0}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 0"),
-    ('{"qkd": {"n_pairs": -1}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got -1"),
-    ('{"qkd": {"n_pairs": 9223372036854775808}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 9223372036854775808"),
-    ('{"qkd": {"n_pairs": 1180591620717411303424}}', "section 'qkd': key 'qkd.n_pairs' must be in [1, 2**63 - 1], got 1180591620717411303424"),
-    ('{"qkd": {"flip_rectilinear": 1}}', "section 'qkd': key 'qkd.flip_rectilinear' must be of type bool, got 1"),
-    ('{"qkd": {"flip_diagonal": 1}}', "section 'qkd': key 'qkd.flip_diagonal' must be of type bool, got 1"),
+    ('{"qkd": {"n_pairs": 0}}', "section 'qkd': n_pairs must be an integer in [1, 9223372036854775807], got 0"),
+    ('{"qkd": {"n_pairs": -1}}', "section 'qkd': n_pairs must be an integer in [1, 9223372036854775807], got -1"),
+    ('{"qkd": {"n_pairs": 9223372036854775808}}', "section 'qkd': n_pairs must be an integer in [1, 9223372036854775807], got 9223372036854775808"),
+    ('{"qkd": {"n_pairs": 1180591620717411303424}}', "section 'qkd': n_pairs must be an integer in [1, 9223372036854775807], got 1180591620717411303424"),
+    ('{"qkd": {"flip_rectilinear": 1}}', "key 'qkd.flip_rectilinear' must be of type bool, got 1"),
+    ('{"qkd": {"flip_diagonal": 1}}', "key 'qkd.flip_diagonal' must be of type bool, got 1"),
     ('{"seed": -1}', "key 'seed' must be >= 0, got -1"),
     ('{"detection": {"pair_rate_cps": -1.0}}', "section 'detection': pair_rate must be finite and >= 0, got -1.0"),
     ('{"detection": {"accidental_rate_cps": -2.0}}', "section 'detection': accidental_rate must be finite and >= 0, got -2.0"),
@@ -515,10 +517,11 @@ def test_config_echo_round_trip_property(raw):
     echo = config_to_dict(cfg)
     assert loads_config(json.dumps(echo)) == cfg
     assert config_to_dict(loads_config(json.dumps(echo))) == echo
-    # the retired flip keys load, change nothing and are not echoed
-    kept = {**raw, "qkd": {k: v for k, v in raw.get("qkd", {}).items() if k not in RETIRED_QKD_KEYS}}
+    # the retired keys (the fit section and the flip keys) load, change nothing and are not echoed
+    kept = {k: v for k, v in raw.items() if k != "fit"}
+    kept["qkd"] = {k: v for k, v in raw.get("qkd", {}).items() if k not in RETIRED_QKD_KEYS}
     assert loads_config(json.dumps(kept)) == cfg
-    assert not set(RETIRED_QKD_KEYS) & set(echo["qkd"])
+    assert "fit" not in echo and not set(RETIRED_QKD_KEYS) & set(echo["qkd"])
     _assert_given_keys_echoed(kept, echo)
 
 

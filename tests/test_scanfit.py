@@ -289,8 +289,25 @@ def test_fit_scans_covariances_are_separate_arrays():
         assert fit.covariance.base is None
         assert not any(np.shares_memory(fit.covariance, other.covariance) for other in fits[i + 1 :])
     before = fits[1].covariance.copy()
-    fits[0].covariance[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        fits[0].covariance[:] = 0.0
     np.testing.assert_array_equal(fits[1].covariance, before)
+
+
+def test_fits_compare_and_hash_by_every_field():
+    y = fringe(ANGLES, 500.0, 0.7, 60.0) + np.where(np.arange(ANGLES.size) % 2, 3.0, -3.0)
+    fit = fit_sinusoid(ANGLES, y)
+    again = fit_sinusoid(ANGLES, y)
+    assert fit == again and hash(fit) == hash(again) and len({fit, again}) == 1
+    assert fit != fit_sinusoid(ANGLES, y + 1.0)
+    cov = fit.covariance.copy()
+    cov[2, 1] += 1.0
+    other = FitResult(fit.c, fit.v, fit.theta0, cov, fit.chi2_reduced, fit.converged, fit.n_points)
+    assert fit != other and fit != "a fit"
+    # the returned covariance is the fit's own and cannot be written
+    with pytest.raises(ValueError, match="read-only"):
+        fit.covariance[0, 0] = 0.0
+    assert not np.shares_memory(other.covariance, cov)
 
 
 def test_fit_scans_input_checks():
