@@ -13,6 +13,8 @@ Every state is its 4x4 density matrix rho over {HH, HV, VH, VV}, built from
 the separable (1, 1, 1, 1) / 2.  ``plane_moments`` alone reads rho, as the
 moments M_jk = Tr(rho o_j x o_k), o = (1, sigma_z, sigma_x); the Born rule
 Tr(rho P_s x P_i) is then n_s^T M n_i / 4 with n the ``analyzer_vectors``.
+The four transmit/reflect outcomes behind two-output analyzers come back as
+plain probabilities in the order (tt, tr, rt, rr).
 
 All angles crossing this module's public boundary are degrees; phases are
 radians.  Polarizer settings are 180-degree periodic and are normalized on
@@ -32,7 +34,6 @@ __all__ = [
     "ProductState",
     "PairState",
     "MeasurementSetting",
-    "JointOutcomeDistribution",
     "coincidence_probability",
     "coincidence_probabilities",
     "rate_expanded",
@@ -139,33 +140,6 @@ class MeasurementSetting:
             object.__setattr__(self, name, normalize_angle_deg(float(value)))
 
 
-@dataclass(frozen=True)
-class JointOutcomeDistribution:
-    """Probabilities of the four transmit/reflect outcomes behind the analyzers.
-
-    Outcome letters are (signal, idler); 't' is transmission at the set angle
-    and 'r' transmission at the orthogonal angle.  The four probabilities sum
-    to one.
-    """
-
-    p_tt: float
-    p_tr: float
-    p_rt: float
-    p_rr: float
-
-    def __post_init__(self) -> None:
-        total = self.p_tt + self.p_tr + self.p_rt + self.p_rr
-        for name in ("p_tt", "p_tr", "p_rt", "p_rr"):
-            p = getattr(self, name)
-            if not (-1e-12 <= p <= 1.0 + 1e-12):
-                raise ValueError(f"{name} out of [0, 1]: {p}")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"outcome probabilities must sum to 1, got {total}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p_tt, self.p_tr, self.p_rt, self.p_rr)
-
-
 def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
     """Probabilities Tr(rho P_s x P_i) that both analyzers transmit.
 
@@ -224,13 +198,13 @@ def rate_expanded(f: float, alpha: float, setting: MeasurementSetting) -> float:
 
 def joint_outcome_distribution(
     state: PairState, setting: MeasurementSetting
-) -> JointOutcomeDistribution:
-    """Four-outcome distribution behind two-output analyzers (see outcome_probabilities).
+) -> tuple[float, float, float, float]:
+    """Probabilities (tt, tr, rt, rr) behind two-output analyzers, summing to one.
 
-    Returns:
-        JointOutcomeDistribution over (tt, tr, rt, rr), summing to one.
+    Outcome letters are (signal, idler); 't' is transmission at the set angle
+    and 'r' transmission at the orthogonal angle (see outcome_probabilities).
     """
-    return JointOutcomeDistribution(*outcome_probabilities(state, setting.theta_s, setting.theta_i).tolist())
+    return tuple(outcome_probabilities(state, setting.theta_s, setting.theta_i).tolist())
 
 
 def correlation_E(state: PairState, setting: MeasurementSetting) -> float:

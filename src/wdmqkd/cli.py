@@ -212,19 +212,15 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
     """
     rows = []
     for channel in source_channels(cfg.source):
-        try:
-            est = estimate_f(channel.rate_HV, channel.rate_VH)
-            f_hat, f_hat_inv = est.f_hat, est.f_hat_inverse
-        except ValueError:  # dark channel
-            f_hat = f_hat_inv = math.nan
+        est = estimate_f(channel.rate_HV, channel.rate_VH)
         rows.append(
             {
                 "lambda_signal_nm": channel.lambda_signal,
                 "lambda_idler_nm": channel.lambda_idler,
                 "rate_hv": channel.rate_HV,
                 "rate_vh": channel.rate_VH,
-                "f_hat": f_hat,
-                "f_hat_inv": f_hat_inv,
+                "f_hat": est.f_hat,
+                "f_hat_inv": est.f_hat_inverse,
             }
         )
     _write_csv(_out_dir(cfg) / "spectrum.csv", rows[0], (row.values() for row in rows))

@@ -7,8 +7,10 @@ spectral profiles or by a tabulated spectrum; the rate ratio at a given
 signal wavelength fixes the per-channel amplitude ratio of the two-photon
 state.
 
-All wavelengths are vacuum nanometers.  A non-finite wavelength, rate or
-phase raises ValueError naming it.
+All wavelengths are vacuum nanometers.  The idler and rate functions take
+a float or an array of signal wavelengths, so a channel grid is evaluated
+in one array pass; a float may come back as a numpy float64.  A non-finite
+wavelength, rate or phase raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ class SpectralProfile:
         if self.peak < 0.0:
             raise ValueError(f"profile peak must be >= 0, got {self.peak}")
 
-    def rate(self, lambda_nm: float) -> float:
-        """Rate at the given wavelength, counts/s."""
-        x = (lambda_nm - self.center) / self.width
-        return self.peak * math.exp(-4.0 * math.log(2.0) * x * x)
+    def rate(self, lambda_nm):
+        """Rate at the given wavelength (a float or an array), counts/s."""
+        x = (np.asarray(lambda_nm) - self.center) / self.width
+        return self.peak * np.exp(-4.0 * math.log(2.0) * x * x)
 
 
 @dataclass(frozen=True)
@@ -130,26 +132,28 @@ class SpectralChannel:
             raise ValueError("channel rates must be >= 0")
 
 
-def idler_wavelength(lambda_signal: float, pump_nm: float = DEFAULT_PUMP_NM) -> float:
+def idler_wavelength(lambda_signal, pump_nm: float = DEFAULT_PUMP_NM):
     """Idler wavelength paired with a signal wavelength by energy conservation.
 
     Args:
-        lambda_signal: Signal wavelength, nm; must be finite and exceed the
-            pump wavelength so the idler carries positive energy.
+        lambda_signal: Signal wavelength, nm, a float or an array; every
+            value must be finite and exceed the pump wavelength so the idler
+            carries positive energy.
         pump_nm: Pump wavelength, nm; finite and > 0.
 
     Returns:
-        lambda_idler = 1 / (1/pump_nm - 1/lambda_signal), nm.
+        lambda_idler = 1 / (1/pump_nm - 1/lambda_signal), nm, shaped as lambda_signal.
     """
     if not 0.0 < pump_nm < math.inf:
         raise ValueError(f"pump_nm must be finite and > 0, got {pump_nm}")
-    if not math.isfinite(lambda_signal):
-        raise ValueError(f"lambda_signal must be finite, got {lambda_signal}")
-    if lambda_signal <= pump_nm:
+    lam = np.asarray(lambda_signal)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"lambda_signal must be finite, got {lam[~np.isfinite(lam)][0]}")
+    if (lam <= pump_nm).any():
         raise ValueError(
-            f"signal wavelength {lambda_signal} nm must exceed the pump wavelength {pump_nm} nm"
+            f"signal wavelength {lam.min()} nm must exceed the pump wavelength {pump_nm} nm"
         )
-    return 1.0 / (1.0 / pump_nm - 1.0 / lambda_signal)
+    return 1.0 / (1.0 / pump_nm - 1.0 / lam)
 
 
 def default_profiles() -> tuple[SpectralProfile, SpectralProfile]:
@@ -164,7 +168,7 @@ def default_profiles() -> tuple[SpectralProfile, SpectralProfile]:
 
 
 def _build(rates, alpha, lambda_range, n_channels, pump_nm) -> tuple[SpectralChannel, ...]:
-    """Channels on the uniform grid, rates(lambda_nm) giving (rate_HV, rate_VH)."""
+    """Channels on the uniform grid, rates(lambda_nm) giving the (rate_HV, rate_VH) columns."""
     lo, hi = lambda_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"lambda_range must be finite, got ({lo}, {hi})")
@@ -174,10 +178,9 @@ def _build(rates, alpha, lambda_range, n_channels, pump_nm) -> tuple[SpectralCha
         raise ValueError(f"n_channels must be <= {MAX_CHANNELS}, got {n_channels}")
     if lo > hi:
         raise ValueError(f"invalid wavelength range ({lo}, {hi})")
-    return tuple(
-        SpectralChannel(lam, idler_wavelength(lam, pump_nm), *rates(lam), alpha)
-        for lam in np.linspace(lo, hi, n_channels).tolist()
-    )
+    lam = np.linspace(lo, hi, n_channels)
+    columns = (lam, idler_wavelength(lam, pump_nm), *rates(lam))
+    return tuple(SpectralChannel(*row, alpha) for row in zip(*(c.tolist() for c in columns)))
 
 
 def build_channels(
@@ -233,7 +236,8 @@ class TabulatedSpectrum:
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedSpectrum":
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export writes
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["lambda_nm", "rate_hv", "rate_vh"]:
@@ -250,11 +254,11 @@ class TabulatedSpectrum:
         lam, hv, vh = zip(*data)
         return cls(lam, hv, vh)
 
-    def rate_hv(self, lambda_nm: float) -> float:
-        return float(np.interp(lambda_nm, self._lambda, self._hv))
+    def rate_hv(self, lambda_nm):
+        return np.interp(lambda_nm, self._lambda, self._hv)
 
-    def rate_vh(self, lambda_nm: float) -> float:
-        return float(np.interp(lambda_nm, self._lambda, self._vh))
+    def rate_vh(self, lambda_nm):
+        return np.interp(lambda_nm, self._lambda, self._vh)
 
 
 def build_channels_from_table(
@@ -270,7 +274,7 @@ def build_channels_from_table(
 
 @dataclass(frozen=True)
 class FEstimate:
-    """The two readings of the amplitude ratio (see estimate_f); a zero rate makes one infinite."""
+    """The two readings of the amplitude ratio (see estimate_f); one zero rate makes one infinite, two make both NaN."""
 
     f_hat: float
     f_hat_inverse: float
@@ -282,14 +286,15 @@ def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:
     The |H>_s|V>_i term carries weight 1 and the |V>_s|H>_i term weight f^2,
     so f_hat = sqrt(rate_VH / rate_HV).  Because the measured ratio does not
     fix which term is which, the reciprocal reading is returned alongside.
+    A dark channel (both rates zero) has no ratio, so both readings are NaN.
 
     Raises:
-        ValueError: If a rate is negative or not finite, or both rates are zero.
+        ValueError: If a rate is negative or not finite.
     """
     if not (0.0 <= rate_HV < math.inf and 0.0 <= rate_VH < math.inf):
         raise ValueError(f"rates must be finite and >= 0, got (rate_HV={rate_HV}, rate_VH={rate_VH})")
-    if rate_HV == 0.0 and rate_VH == 0.0:
-        raise ValueError("both rates are zero, amplitude ratio is undefined")
+    if rate_HV == rate_VH == 0.0:
+        return FEstimate(f_hat=math.nan, f_hat_inverse=math.nan)
     f_hat = math.sqrt(rate_VH / rate_HV) if rate_HV > 0.0 else math.inf
     f_inv = math.sqrt(rate_HV / rate_VH) if rate_VH > 0.0 else math.inf
     return FEstimate(f_hat=f_hat, f_hat_inverse=f_inv)
@@ -314,13 +319,13 @@ def channel_state(
         raise ValueError(
             f"unknown ratio convention {convention!r}, expected one of {RATIO_CONVENTIONS}"
         )
-    if channel.rate_HV == 0.0 and channel.rate_VH == 0.0:
+    est = estimate_f(channel.rate_HV, channel.rate_VH)
+    f = est.f_hat if convention == "ratio_as_f" else est.f_hat_inverse
+    if math.isnan(f):  # a dark channel
         raise ValueError(
             f"channel at {channel.lambda_signal!r} nm has zero rate in both bands; "
             "its amplitude ratio is undefined"
         )
-    est = estimate_f(channel.rate_HV, channel.rate_VH)
-    f = est.f_hat if convention == "ratio_as_f" else est.f_hat_inverse
     if math.isinf(f):  # a zero rate under the root, or a ratio that overflows (subnormal rate)
         raise ValueError(
             f"amplitude ratio is infinite under {convention}; "

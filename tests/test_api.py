@@ -5,6 +5,7 @@ import math
 import pkgutil
 import types
 
+import numpy as np
 import pytest
 
 import wdmqkd
@@ -49,6 +50,7 @@ def test_package_reexports_every_public_name():
         (lambda: idler_wavelength(NAN), "lambda_signal"),
         (lambda: idler_wavelength(INF), "lambda_signal"),
         (lambda: idler_wavelength(900.0, NAN), "pump_nm"),
+        (lambda: idler_wavelength(np.array([870.0, NAN])), "lambda_signal"),
         (lambda: build_channels(*default_profiles(), lambda_range=(NAN, 874.0), n_channels=2), "lambda_range"),
         (lambda: build_channels(*default_profiles(), lambda_range=(860.0, INF), n_channels=2), "lambda_range"),
         (lambda: SpectralChannel(NAN, 869.0, 1.0, 1.0, 0.0), "lambda_signal"),

@@ -12,7 +12,6 @@ import pytest
 
 from wdmqkd import (
     BiphotonPureState,
-    JointOutcomeDistribution,
     MeasurementSetting,
     ProductState,
     coincidence_probabilities,
@@ -159,7 +158,7 @@ def test_product_probability_is_normalized_joint():
             product_oracle(setting.theta_s, setting.theta_i), abs=1e-12
         )
         dist = joint_outcome_distribution(state, setting)
-        assert sum(dist.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_distribution_sums_to_one():
@@ -168,26 +167,19 @@ def test_joint_distribution_sums_to_one():
         state = BiphotonPureState(rng.uniform(0, 4), rng.uniform(0, 2 * np.pi))
         setting = MeasurementSetting(rng.uniform(0, 180), rng.uniform(0, 180))
         dist = joint_outcome_distribution(state, setting)
-        assert sum(dist.as_tuple()) == pytest.approx(1.0, abs=1e-12)
-        assert all(p >= 0.0 for p in dist.as_tuple())
+        assert sum(dist) == pytest.approx(1.0, abs=1e-12)
+        assert all(p >= 0.0 for p in dist)
 
 
 def test_joint_distribution_frozen_values():
-    dist = joint_outcome_distribution(BiphotonPureState(1.73, 0.0), MeasurementSetting(45.0, 45.0))
+    p_tt, p_tr, p_rt, p_rr = joint_outcome_distribution(BiphotonPureState(1.73, 0.0), MeasurementSetting(45.0, 45.0))
     f = 1.73
     p_same = (1.0 + f) ** 2 / (4.0 * (1.0 + f * f))
     p_cross = (1.0 - f) ** 2 / (4.0 * (1.0 + f * f))
-    assert dist.p_tt == pytest.approx(p_same, abs=1e-12)
-    assert dist.p_rr == pytest.approx(p_same, abs=1e-12)
-    assert dist.p_tr == pytest.approx(p_cross, abs=1e-12)
-    assert dist.p_rt == pytest.approx(p_cross, abs=1e-12)
-
-
-def test_joint_distribution_validates():
-    with pytest.raises(ValueError):
-        JointOutcomeDistribution(0.5, 0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        JointOutcomeDistribution(1.2, -0.2, 0.0, 0.0)
+    assert p_tt == pytest.approx(p_same, abs=1e-12)
+    assert p_rr == pytest.approx(p_same, abs=1e-12)
+    assert p_tr == pytest.approx(p_cross, abs=1e-12)
+    assert p_rt == pytest.approx(p_cross, abs=1e-12)
 
 
 def test_correlation_bell_reduction():

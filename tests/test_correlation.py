@@ -334,8 +334,9 @@ def test_estimate_f_edge_cases():
     assert estimate_f(100.0, 0.0).f_hat == 0.0
     with pytest.raises(ValueError):
         estimate_f(-1.0, 5.0)
-    with pytest.raises(ValueError):
-        estimate_f(0.0, 0.0)
+    # a dark channel has no ratio: both readings are NaN
+    dark = estimate_f(0.0, 0.0)
+    assert math.isnan(dark.f_hat) and math.isnan(dark.f_hat_inverse)
 
 
 def test_signed_angle_difference_wraps():

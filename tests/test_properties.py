@@ -79,8 +79,7 @@ def test_probabilities_bounded_and_normalized_at_any_f(f, alpha, theta_s, theta_
     state = BiphotonPureState(f, alpha)
     setting = MeasurementSetting(theta_s, theta_i)
     assert 0.0 <= coincidence_probability(state, setting) <= 1.0
-    dist = joint_outcome_distribution(state, setting)
-    assert sum(dist.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(joint_outcome_distribution(state, setting)) == pytest.approx(1.0, abs=1e-12)
 
 
 @DETERMINISTIC

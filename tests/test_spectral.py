@@ -50,6 +50,9 @@ def test_idler_rejects_signal_at_or_below_pump():
         idler_wavelength(DEFAULT_PUMP_NM)
     with pytest.raises(ValueError):
         idler_wavelength(100.0)
+    # an array is rejected for its one value at the pump
+    with pytest.raises(ValueError, match=f"signal wavelength {DEFAULT_PUMP_NM} nm must exceed"):
+        idler_wavelength(np.array([870.0, DEFAULT_PUMP_NM, 880.0]))
 
 
 def test_idler_accepts_pump_config():
@@ -221,6 +224,33 @@ def test_build_channels_from_table(tmp_path):
         assert ch.rate_HV == pytest.approx(300.0)
         assert ch.rate_VH == pytest.approx(100.0)
         assert ch.alpha == 0.5
+
+
+def test_grid_builders_match_row_by_row_evaluation():
+    # the builders evaluate the grid in one array pass; each row must equal the scalar calls
+    lams = np.linspace(850.0, 890.0, 1000).tolist()
+    hv, vh = default_profiles()
+    table = TabulatedSpectrum([850.0, 866.0, 874.0, 890.0], [20.0, 300.0, 100.0, 5.0], [10.0, 100.0, 300.0, 40.0])
+    cases = [
+        (build_channels(hv, vh, lambda_range=(850.0, 890.0), n_channels=1000), hv.rate, vh.rate),
+        (build_channels_from_table(table, lambda_range=(850.0, 890.0), n_channels=1000), table.rate_hv, table.rate_vh),
+    ]
+    for channels, rate_hv, rate_vh in cases:
+        assert [ch.lambda_signal for ch in channels] == lams
+        assert [ch.lambda_idler for ch in channels] == [idler_wavelength(lam) for lam in lams]
+        # np.exp may round a lone value and a vector lane 1 ulp apart
+        np.testing.assert_array_max_ulp([ch.rate_HV for ch in channels], [rate_hv(lam) for lam in lams], maxulp=1)
+        np.testing.assert_array_max_ulp([ch.rate_VH for ch in channels], [rate_vh(lam) for lam in lams], maxulp=1)
+        assert all(type(ch.rate_HV) is float and type(ch.lambda_idler) is float for ch in channels)
+
+
+def test_tabulated_spectrum_reads_utf8_bom(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflambda_nm,rate_hv,rate_vh\n866.0,300.0,100.0\n874.0,100.0,300.0\n")
+    spec = TabulatedSpectrum.from_csv(path)
+    assert spec.rate_hv(866.0) == 300.0
+    assert spec.rate_vh(874.0) == 300.0
 
 
 def test_channel_count_cap_rejected_before_building():
