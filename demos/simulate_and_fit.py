@@ -37,7 +37,7 @@ def main():
     metrics = scan_metrics(fit)
     truth = find_theta_max(STATE, THETA_S)
 
-    print(f"\nfit converged: {fit.converged}  (chi2/dof = {fit.chi2_reduced:.2f})")
+    print(f"\nfit of {fit.n_points} points, chi2/dof = {fit.chi2_reduced:.2f}")
     print(f"  baseline c    = {fit.c:8.2f} +/- {fit.c_err:.2f}")
     print(f"  visibility    = {metrics.visibility:8.4f} +/- {metrics.visibility_err:.4f}"
           f"   (theory {truth.visibility:.4f})")

@@ -22,10 +22,10 @@ def main():
     print(f"pump at {PUMP_NM} nm; {len(channels)} channels across the signal band\n")
     print("  signal    idler    rate_HV  rate_VH   f_hat  1/f_hat")
     for ch in channels:
-        est = estimate_f(ch.rate_HV, ch.rate_VH)
+        f_hat, f_hat_inverse = estimate_f(ch.rate_HV, ch.rate_VH)
         print(
             f"  {ch.lambda_signal:7.2f}  {ch.lambda_idler:7.2f}  "
-            f"{ch.rate_HV:7.1f}  {ch.rate_VH:7.1f}  {est.f_hat:6.3f}  {est.f_hat_inverse:7.3f}"
+            f"{ch.rate_HV:7.1f}  {ch.rate_VH:7.1f}  {f_hat:6.3f}  {f_hat_inverse:7.3f}"
         )
 
     print(

@@ -37,7 +37,7 @@ from .config import ConfigError, RunConfig, config_to_dict, load_config, source_
 from .correlation import shift_table
 from .detection import simulate_scans
 from .qkd import run_bbm92, wdm_aggregate
-from .scanfit import PERIOD_DEG, fit_scans, scan_metrics
+from .scanfit import fit_scans, scan_metrics
 from .spectral import estimate_f
 
 __all__ = [
@@ -182,12 +182,10 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
             "c": fit.c,
             "v": fit.v,
             "theta0_deg": fit.theta0,
-            "period_deg": PERIOD_DEG,
             "c_err": fit.c_err,
             "v_err": fit.v_err,
             "theta0_err_deg": fit.theta0_err,
             "chi2_reduced": fit.chi2_reduced,
-            "converged": fit.converged,
         }
         _write_json(out / f"fit_{stem}.json", fitted)
         metrics = scan_metrics(fit)
@@ -197,10 +195,9 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
                 "theta_max_err_deg": metrics.theta_max_err,
                 "visibility": metrics.visibility,
                 "visibility_err": metrics.visibility_err,
-                "converged": fit.converged,
             }
         )
-    summary = {"period_deg": PERIOD_DEG, "rows": rows}
+    summary = {"rows": rows}
     _write_json(out / "simulate_fit_summary.json", summary)
     return summary
 
@@ -212,15 +209,15 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
     """
     rows = []
     for channel in source_channels(cfg.source):
-        est = estimate_f(channel.rate_HV, channel.rate_VH)
+        f_hat, f_hat_inv = estimate_f(channel.rate_HV, channel.rate_VH)
         rows.append(
             {
                 "lambda_signal_nm": channel.lambda_signal,
                 "lambda_idler_nm": channel.lambda_idler,
                 "rate_hv": channel.rate_HV,
                 "rate_vh": channel.rate_VH,
-                "f_hat": est.f_hat,
-                "f_hat_inv": est.f_hat_inverse,
+                "f_hat": f_hat,
+                "f_hat_inv": f_hat_inv,
             }
         )
     _write_csv(_out_dir(cfg) / "spectrum.csv", rows[0], (row.values() for row in rows))

@@ -11,6 +11,8 @@ mapped back by c = A, v = hypot(B, C)/A and theta0 = atan2(C, B)/w.  The
 first solve takes max(counts, 1) as each point's Poisson variance, and two
 more take max(model counts, 1) of the previous solution, which moves the
 fit toward the Poisson likelihood (Baker & Cousins, NIM 221, 437 (1984)).
+The three solves are a fixed sequence with no convergence test, so a fit
+reports no convergence flag: input they cannot fit raises ValueError.
 The covariance of (A, B, C) is R^-1 R^-T, with R the triangular factor of
 the last weighted solve, carried to (c, v, theta0) by the map's Jacobian.
 
@@ -58,9 +60,6 @@ class FitResult:
             theta0 of a constant scan, or v and theta0 at subnormal counts.
             The fit holds its own read-only copy.
         chi2_reduced: Weighted residual sum over (n_points - 3).
-        converged: Always True for a returned fit: the solves are a fixed
-            sequence with no convergence test, and input they cannot fit
-            raises instead.
         n_points: Number of fitted points.
     """
 
@@ -69,7 +68,6 @@ class FitResult:
     theta0: float
     covariance: np.ndarray
     chi2_reduced: float
-    converged: bool
     n_points: int
 
     def __post_init__(self) -> None:
@@ -78,7 +76,7 @@ class FitResult:
 
     def _key(self) -> tuple:  # every field, the covariance entry by entry
         return (self.c, self.v, self.theta0, *self.covariance.ravel().tolist(),
-                self.chi2_reduced, self.converged, self.n_points)
+                self.chi2_reduced, self.n_points)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._key() == other._key()
@@ -194,7 +192,7 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
     for k, ck, vk, tk, cov, chi2 in zip(
         good, c.tolist(), v.tolist(), theta0.tolist(), covariance, chi2_reduced.tolist()
     ):
-        fit = FitResult(ck, vk, tk, cov, chi2, True, int(theta.size))
+        fit = FitResult(ck, vk, tk, cov, chi2, int(theta.size))
         results[k] = fit if math.isfinite(vk) else ValueError("the fitted baseline c rounds to 0, so v is undefined")
     return results
 

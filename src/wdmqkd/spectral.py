@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_CHANNEL_RANGE_NM",
     "DEFAULT_CHANNEL_COUNT",
     "RATIO_CONVENTIONS",
-    "FEstimate",
     "SpectralProfile",
     "SpectralChannel",
     "TabulatedSpectrum",
@@ -71,6 +70,14 @@ _CENTER_SPLIT_NM = (
 )
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """values as an array; ValueError naming it if any value is not finite."""
+    array = np.asarray(values)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
+    return array
+
+
 @dataclass(frozen=True)
 class SpectralProfile:
     """Gaussian emission-rate profile.
@@ -96,7 +103,7 @@ class SpectralProfile:
 
     def rate(self, lambda_nm):
         """Rate at the given wavelength (a float or an array), counts/s."""
-        x = (np.asarray(lambda_nm) - self.center) / self.width
+        x = (_finite(lambda_nm, "lambda_nm") - self.center) / self.width
         return self.peak * np.exp(-4.0 * math.log(2.0) * x * x)
 
 
@@ -146,9 +153,7 @@ def idler_wavelength(lambda_signal, pump_nm: float = DEFAULT_PUMP_NM):
     """
     if not 0.0 < pump_nm < math.inf:
         raise ValueError(f"pump_nm must be finite and > 0, got {pump_nm}")
-    lam = np.asarray(lambda_signal)
-    if not np.isfinite(lam).all():
-        raise ValueError(f"lambda_signal must be finite, got {lam[~np.isfinite(lam)][0]}")
+    lam = _finite(lambda_signal, "lambda_signal")
     if (lam <= pump_nm).any():
         raise ValueError(
             f"signal wavelength {lam.min()} nm must exceed the pump wavelength {pump_nm} nm"
@@ -210,7 +215,7 @@ class TabulatedSpectrum:
 
     Built from a CSV file with header ``lambda_nm,rate_hv,rate_vh``.  Rows
     are sorted by wavelength; queries outside the tabulated range clamp to
-    the edge values.
+    the edge values, and a non-finite query raises ValueError.
     """
 
     def __init__(self, lambda_nm, rate_hv, rate_vh) -> None:
@@ -255,10 +260,10 @@ class TabulatedSpectrum:
         return cls(lam, hv, vh)
 
     def rate_hv(self, lambda_nm):
-        return np.interp(lambda_nm, self._lambda, self._hv)
+        return np.interp(_finite(lambda_nm, "lambda_nm"), self._lambda, self._hv)
 
     def rate_vh(self, lambda_nm):
-        return np.interp(lambda_nm, self._lambda, self._vh)
+        return np.interp(_finite(lambda_nm, "lambda_nm"), self._lambda, self._vh)
 
 
 def build_channels_from_table(
@@ -272,21 +277,17 @@ def build_channels_from_table(
     return _build(lambda lam: (table.rate_hv(lam), table.rate_vh(lam)), alpha, lambda_range, n_channels, pump_nm)
 
 
-@dataclass(frozen=True)
-class FEstimate:
-    """The two readings of the amplitude ratio (see estimate_f); one zero rate makes one infinite, two make both NaN."""
-
-    f_hat: float
-    f_hat_inverse: float
-
-
-def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:
+def estimate_f(rate_HV: float, rate_VH: float) -> tuple[float, float]:
     """Estimate the amplitude ratio from the two cross-polarized rates.
 
     The |H>_s|V>_i term carries weight 1 and the |V>_s|H>_i term weight f^2,
     so f_hat = sqrt(rate_VH / rate_HV).  Because the measured ratio does not
-    fix which term is which, the reciprocal reading is returned alongside.
-    A dark channel (both rates zero) has no ratio, so both readings are NaN.
+    fix which term is which, the reciprocal reading f_hat_inverse is returned
+    alongside.  One zero rate makes one reading infinite; a dark channel
+    (both rates zero) has no ratio, so both readings are NaN.
+
+    Returns:
+        (f_hat, f_hat_inverse), one reading per RATIO_CONVENTIONS entry, in that order.
 
     Raises:
         ValueError: If a rate is negative or not finite.
@@ -294,10 +295,10 @@ def estimate_f(rate_HV: float, rate_VH: float) -> FEstimate:
     if not (0.0 <= rate_HV < math.inf and 0.0 <= rate_VH < math.inf):
         raise ValueError(f"rates must be finite and >= 0, got (rate_HV={rate_HV}, rate_VH={rate_VH})")
     if rate_HV == rate_VH == 0.0:
-        return FEstimate(f_hat=math.nan, f_hat_inverse=math.nan)
+        return math.nan, math.nan
     f_hat = math.sqrt(rate_VH / rate_HV) if rate_HV > 0.0 else math.inf
     f_inv = math.sqrt(rate_HV / rate_VH) if rate_VH > 0.0 else math.inf
-    return FEstimate(f_hat=f_hat, f_hat_inverse=f_inv)
+    return f_hat, f_inv
 
 
 def channel_state(
@@ -319,8 +320,7 @@ def channel_state(
         raise ValueError(
             f"unknown ratio convention {convention!r}, expected one of {RATIO_CONVENTIONS}"
         )
-    est = estimate_f(channel.rate_HV, channel.rate_VH)
-    f = est.f_hat if convention == "ratio_as_f" else est.f_hat_inverse
+    f = estimate_f(channel.rate_HV, channel.rate_VH)[RATIO_CONVENTIONS.index(convention)]
     if math.isnan(f):  # a dark channel
         raise ValueError(
             f"channel at {channel.lambda_signal!r} nm has zero rate in both bands; "

@@ -16,6 +16,7 @@ from wdmqkd import (
     ScanData,
     SourceConfig,
     SpectralChannel,
+    TabulatedSpectrum,
     angle_stream_key,
     build_channels,
     default_profiles,
@@ -30,6 +31,7 @@ from wdmqkd import (
 )
 
 NAN, INF = math.nan, math.inf
+TABLE = TabulatedSpectrum([860.0, 874.0], [1.0, 2.0], [2.0, 1.0])
 
 
 def test_package_reexports_every_public_name():
@@ -51,6 +53,13 @@ def test_package_reexports_every_public_name():
         (lambda: idler_wavelength(INF), "lambda_signal"),
         (lambda: idler_wavelength(900.0, NAN), "pump_nm"),
         (lambda: idler_wavelength(np.array([870.0, NAN])), "lambda_signal"),
+        (lambda: default_profiles()[0].rate(NAN), "lambda_nm"),
+        (lambda: default_profiles()[0].rate(INF), "lambda_nm"),
+        (lambda: default_profiles()[1].rate(np.array([870.0, -INF])), "lambda_nm"),
+        (lambda: TABLE.rate_hv(NAN), "lambda_nm"),
+        (lambda: TABLE.rate_hv(INF), "lambda_nm"),
+        (lambda: TABLE.rate_vh(NAN), "lambda_nm"),
+        (lambda: TABLE.rate_vh(INF), "lambda_nm"),
         (lambda: build_channels(*default_profiles(), lambda_range=(NAN, 874.0), n_channels=2), "lambda_range"),
         (lambda: build_channels(*default_profiles(), lambda_range=(860.0, INF), n_channels=2), "lambda_range"),
         (lambda: SpectralChannel(NAN, 869.0, 1.0, 1.0, 0.0), "lambda_signal"),

@@ -310,12 +310,12 @@ def test_estimate_f_ratio_conventions():
     # the HV term carries unit weight and the VH term weight f^2, so a
     # dominant HV rate reads as f < 1; the reciprocal reading is the
     # label-swapped assignment
-    est = estimate_f(300.0, 100.0)
-    assert est.f_hat == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
-    assert est.f_hat_inverse == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    est = estimate_f(100.0, 300.0)
-    assert est.f_hat == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert estimate_f(100.0, 100.0).f_hat == pytest.approx(1.0, abs=1e-15)
+    f_hat, f_hat_inverse = estimate_f(300.0, 100.0)
+    assert f_hat == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+    assert f_hat_inverse == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    f_hat, _ = estimate_f(100.0, 300.0)
+    assert f_hat == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert estimate_f(100.0, 100.0) == (1.0, 1.0)
 
 
 def test_estimate_f_round_trips_known_state():
@@ -324,19 +324,20 @@ def test_estimate_f_round_trips_known_state():
         f = rng.uniform(0.05, 4.0)
         rate_hv = 1.0 / (1.0 + f * f)
         rate_vh = f * f / (1.0 + f * f)
-        assert estimate_f(rate_hv, rate_vh).f_hat == pytest.approx(f, rel=1e-12)
+        f_hat, f_hat_inverse = estimate_f(rate_hv, rate_vh)
+        assert f_hat == pytest.approx(f, rel=1e-12)
+        assert f_hat_inverse == pytest.approx(1.0 / f, rel=1e-12)
 
 
 def test_estimate_f_edge_cases():
     # a vanishing HV rate puts all weight on the f-scaled term
-    assert math.isinf(estimate_f(0.0, 100.0).f_hat)
-    assert estimate_f(0.0, 100.0).f_hat_inverse == 0.0
-    assert estimate_f(100.0, 0.0).f_hat == 0.0
+    assert estimate_f(0.0, 100.0) == (math.inf, 0.0)
+    assert estimate_f(100.0, 0.0) == (0.0, math.inf)
     with pytest.raises(ValueError):
         estimate_f(-1.0, 5.0)
     # a dark channel has no ratio: both readings are NaN
     dark = estimate_f(0.0, 0.0)
-    assert math.isnan(dark.f_hat) and math.isnan(dark.f_hat_inverse)
+    assert type(dark) is tuple and len(dark) == 2 and all(map(math.isnan, dark))
 
 
 def test_signed_angle_difference_wraps():

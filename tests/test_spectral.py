@@ -131,10 +131,10 @@ def test_channel_state_matches_estimate_f():
     hv, vh = default_profiles()
     for lam in (862.0, 866.0, 870.0, 873.0):
         (ch,) = build_channels(hv, vh, alpha=0.0, lambda_range=(lam, lam), n_channels=1)
-        est = estimate_f(ch.rate_HV, ch.rate_VH)
+        f_hat, f_hat_inverse = estimate_f(ch.rate_HV, ch.rate_VH)
         # both evaluate sqrt(rate_VH / rate_HV), with the columns swapped for the inverse reading
-        assert channel_state(ch, convention="ratio_as_f").f == est.f_hat
-        assert channel_state(ch, convention="ratio_as_inverse_f").f == est.f_hat_inverse
+        assert channel_state(ch, convention="ratio_as_f").f == f_hat
+        assert channel_state(ch, convention="ratio_as_inverse_f").f == f_hat_inverse
 
 
 def test_dark_channel_has_no_state():
