@@ -17,7 +17,7 @@ PUMP_NM = 429.7
 
 def main():
     hv, vh = default_profiles()
-    channels = build_channels(hv, vh, alpha=0.0)
+    channels = build_channels(hv.rate, vh.rate, alpha=0.0)
 
     print(f"pump at {PUMP_NM} nm; {len(channels)} channels across the signal band\n")
     print("  signal    idler    rate_HV  rate_VH   f_hat  1/f_hat")

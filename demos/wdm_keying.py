@@ -23,7 +23,7 @@ N_PAIRS = 100_000
 
 def main():
     hv, vh = default_profiles()
-    channels = build_channels(hv, vh, alpha=0.0)
+    channels = build_channels(hv.rate, vh.rate, alpha=0.0)
     config = ProtocolConfig(n_pairs=N_PAIRS, seed=5)
 
     reports = []

@@ -45,7 +45,6 @@ from .spectral import (
     SpectralProfile,
     TabulatedSpectrum,
     build_channels,
-    build_channels_from_table,
     channel_state,
     default_profiles,
 )
@@ -324,8 +323,11 @@ def source_channels(source: SourceConfig) -> tuple[SpectralChannel, ...]:
         pump_nm=source.pump_nm,
     )
     if source.spectrum_csv is not None:
-        return build_channels_from_table(TabulatedSpectrum.from_csv(source.spectrum_csv), **grid)
-    return build_channels(source.hv_profile, source.vh_profile, **grid)
+        table = TabulatedSpectrum.from_csv(source.spectrum_csv)
+        rates = (table.rate_hv, table.rate_vh)
+    else:
+        rates = (source.hv_profile.rate, source.vh_profile.rate)
+    return build_channels(*rates, **grid)
 
 
 def source_state(source: SourceConfig, channel: SpectralChannel) -> PairState:

@@ -7,7 +7,8 @@ of the idler angle is a raised sinusoid
 
 so peak position and visibility follow in closed form from the three
 coefficients n(theta_s)^T M / 4.  They, and the CHSH correlation tensor
-T = M[1:, 1:], are read from the state's moments M (``plane_moments``).
+T = M[1:, 1:], are read from the state's moments M (``plane_moments``); the
+CHSH maximum and its settings follow in closed form from the SVD of T.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "find_theta_max",
     "shift_table",
     "visibility",
-    "chsh_value",
     "chsh_optimize",
     "signed_angle_difference",
 ]
@@ -192,20 +192,6 @@ def visibility(state: PairState, theta_s: float) -> float:
     return find_theta_max(state, theta_s).visibility
 
 
-def _chsh(t: np.ndarray, settings: ChshSettings) -> float:
-    """S = n(a)^T T (n(b) - n(b')) + n(a')^T T (n(b) + n(b')) for the tensor t."""
-    angles = np.array([settings.a, settings.a_prime, settings.b, settings.b_prime])
-    if not np.isfinite(angles).all():
-        raise ValueError(f"CHSH analyzer angles must be finite, got {settings}")
-    n_a, n_a_prime, n_b, n_b_prime = analyzer_vectors(angles)[1:].T
-    return float(n_a @ t @ (n_b - n_b_prime) + n_a_prime @ t @ (n_b + n_b_prime))
-
-
-def chsh_value(state: PairState, settings: ChshSettings) -> float:
-    """CHSH combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), each E(a, b) = n(a)^T T n(b)."""
-    return _chsh(plane_moments(state)[1:, 1:], settings)
-
-
 def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     """Maximize S over all four analyzer angles in closed form.
 
@@ -216,7 +202,8 @@ def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     n(a') = u1 and n(b), n(b') = cos(phi) v1 +- sin(phi) v2, phi = atan2(t2, t1).
 
     Returns:
-        (settings, s_max) with s_max = chsh_value(state, settings) >= 0.
+        (settings, s_max) with s_max = 2 * hypot(t1, t2) >= 0, the value
+        E(a,b) - E(a,b') + E(a',b) + E(a',b') takes at these four angles.
     """
     t = plane_moments(state)[1:, 1:]
     u, (t1, t2), vt = np.linalg.svd(t)
@@ -226,4 +213,4 @@ def chsh_optimize(state: PairState) -> tuple[ChshSettings, float]:
     settings = ChshSettings(
         angle(u[:, 1]), angle(u[:, 0]), angle(along + across), angle(along - across)
     )
-    return settings, _chsh(t, settings)
+    return settings, 2.0 * math.hypot(t1, t2)

@@ -126,9 +126,9 @@ def angle_stream_key(theta_deg: float) -> int:
 
 
 def checked_int(value, name: str, low: int = 0, high: int | None = None) -> int:
-    """value as an int if it is an integer in [low, high], else ValueError naming it."""
+    """value as an int if it is an integer (not a bool) in [low, high], else ValueError naming it."""
     try:
-        n = int(value)
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # e.g. NaN or inf
         n = None
     if n is None or n != value or n < low or (high is not None and n > high):

@@ -3,9 +3,9 @@
 Signal and idler wavelengths are tied by energy conservation against the
 pump, 1/lambda_s + 1/lambda_i = 1/lambda_p.  The two cross-polarized
 emission terms have wavelength-dependent rates, modeled either by Gaussian
-spectral profiles or by a tabulated spectrum; the rate ratio at a given
-signal wavelength fixes the per-channel amplitude ratio of the two-photon
-state.
+spectral profiles or by a tabulated spectrum; ``build_channels`` takes the
+two rate functions of either.  The rate ratio at a given signal wavelength
+fixes the per-channel amplitude ratio of the two-photon state.
 
 All wavelengths are vacuum nanometers.  The idler and rate functions take
 a float or an array of signal wavelengths, so a channel grid is evaluated
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import BiphotonPureState
+from .detection import checked_int
 
 __all__ = [
     "DEFAULT_PUMP_NM",
@@ -34,7 +35,6 @@ __all__ = [
     "idler_wavelength",
     "default_profiles",
     "build_channels",
-    "build_channels_from_table",
     "estimate_f",
     "channel_state",
 ]
@@ -172,42 +172,36 @@ def default_profiles() -> tuple[SpectralProfile, SpectralProfile]:
     return hv, vh
 
 
-def _build(rates, alpha, lambda_range, n_channels, pump_nm) -> tuple[SpectralChannel, ...]:
-    """Channels on the uniform grid, rates(lambda_nm) giving the (rate_HV, rate_VH) columns."""
-    lo, hi = lambda_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"lambda_range must be finite, got ({lo}, {hi})")
-    if n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    if n_channels > MAX_CHANNELS:
-        raise ValueError(f"n_channels must be <= {MAX_CHANNELS}, got {n_channels}")
-    if lo > hi:
-        raise ValueError(f"invalid wavelength range ({lo}, {hi})")
-    lam = np.linspace(lo, hi, n_channels)
-    columns = (lam, idler_wavelength(lam, pump_nm), *rates(lam))
-    return tuple(SpectralChannel(*row, alpha) for row in zip(*(c.tolist() for c in columns)))
-
-
 def build_channels(
-    hv: SpectralProfile,
-    vh: SpectralProfile,
+    rate_hv,
+    rate_vh,
     alpha: float = 0.0,
     lambda_range: tuple[float, float] = DEFAULT_CHANNEL_RANGE_NM,
     n_channels: int = DEFAULT_CHANNEL_COUNT,
     pump_nm: float = DEFAULT_PUMP_NM,
 ) -> tuple[SpectralChannel, ...]:
-    """Build channels on a uniform signal-wavelength grid from rate profiles.
+    """Build channels on a uniform signal-wavelength grid from two rate functions.
 
     Args:
-        hv: Profile of the H-signal / V-idler rate.
-        vh: Profile of the V-signal / H-idler rate.
+        rate_hv: Rate of the H-signal / V-idler term as a function of a
+            wavelength array, counts/s, e.g. ``hv.rate`` of a SpectralProfile
+            or ``table.rate_hv`` of a TabulatedSpectrum.
+        rate_vh: Rate of the V-signal / H-idler term, likewise.
         alpha: Relative phase shared by all channels, radians.
         lambda_range: (min, max) signal wavelength in nm, both included.
             With n_channels = 1 the grid is the single point lambda_range[0].
-        n_channels: Number of channels, in [1, MAX_CHANNELS].
+        n_channels: Number of channels, an integer in [1, MAX_CHANNELS].
         pump_nm: Pump wavelength for the idler pairing, nm.
     """
-    return _build(lambda lam: (hv.rate(lam), vh.rate(lam)), alpha, lambda_range, n_channels, pump_nm)
+    lo, hi = lambda_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lambda_range must be finite, got ({lo}, {hi})")
+    n_channels = checked_int(n_channels, "n_channels", 1, MAX_CHANNELS)
+    if lo > hi:
+        raise ValueError(f"invalid wavelength range ({lo}, {hi})")
+    lam = np.linspace(lo, hi, n_channels)
+    columns = (lam, idler_wavelength(lam, pump_nm), rate_hv(lam), rate_vh(lam))
+    return tuple(SpectralChannel(*row, alpha) for row in zip(*(c.tolist() for c in columns)))
 
 
 class TabulatedSpectrum:
@@ -264,17 +258,6 @@ class TabulatedSpectrum:
 
     def rate_vh(self, lambda_nm):
         return np.interp(_finite(lambda_nm, "lambda_nm"), self._lambda, self._vh)
-
-
-def build_channels_from_table(
-    table: TabulatedSpectrum,
-    alpha: float = 0.0,
-    lambda_range: tuple[float, float] = DEFAULT_CHANNEL_RANGE_NM,
-    n_channels: int = DEFAULT_CHANNEL_COUNT,
-    pump_nm: float = DEFAULT_PUMP_NM,
-) -> tuple[SpectralChannel, ...]:
-    """Build channels on a uniform grid from a tabulated spectrum."""
-    return _build(lambda lam: (table.rate_hv(lam), table.rate_vh(lam)), alpha, lambda_range, n_channels, pump_nm)
 
 
 def estimate_f(rate_HV: float, rate_VH: float) -> tuple[float, float]:

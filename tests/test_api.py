@@ -32,6 +32,7 @@ from wdmqkd import (
 
 NAN, INF = math.nan, math.inf
 TABLE = TabulatedSpectrum([860.0, 874.0], [1.0, 2.0], [2.0, 1.0])
+RATES = tuple(profile.rate for profile in default_profiles())
 
 
 def test_package_reexports_every_public_name():
@@ -60,8 +61,8 @@ def test_package_reexports_every_public_name():
         (lambda: TABLE.rate_hv(INF), "lambda_nm"),
         (lambda: TABLE.rate_vh(NAN), "lambda_nm"),
         (lambda: TABLE.rate_vh(INF), "lambda_nm"),
-        (lambda: build_channels(*default_profiles(), lambda_range=(NAN, 874.0), n_channels=2), "lambda_range"),
-        (lambda: build_channels(*default_profiles(), lambda_range=(860.0, INF), n_channels=2), "lambda_range"),
+        (lambda: build_channels(*RATES, lambda_range=(NAN, 874.0), n_channels=2), "lambda_range"),
+        (lambda: build_channels(*RATES, lambda_range=(860.0, INF), n_channels=2), "lambda_range"),
         (lambda: SpectralChannel(NAN, 869.0, 1.0, 1.0, 0.0), "lambda_signal"),
         (lambda: SpectralChannel(870.0, INF, 1.0, 1.0, 0.0), "lambda_idler"),
         (lambda: SpectralChannel(870.0, 869.0, NAN, 1.0, 0.0), "rate_HV"),
@@ -101,6 +102,12 @@ def test_package_reexports_every_public_name():
             lambda: simulate_scans(BiphotonPureState(), "signal", (0.0,), (0.0, 10.0), DetectionConfig(), -1),
             "channel_id",
         ),
+        # a count or seed given in code must be an integer, and a bool is not one
+        (lambda: build_channels(*RATES, n_channels=2.5), "n_channels must be an integer in .*, got 2.5"),
+        (lambda: build_channels(*RATES, n_channels=True), "n_channels must be an integer in .*, got True"),
+        (lambda: DetectionConfig(seed=True), "seed must be a non-negative integer, got True"),
+        (lambda: ProtocolConfig(n_pairs=True), "n_pairs must be an integer in .*, got True"),
+        (lambda: ScanData("signal", 0.0, (0.0, 10.0), (1, True)), "counts must be a non-negative integer, got True"),
     ],
 )
 def test_non_finite_input_raises_naming_it(call, name):

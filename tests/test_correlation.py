@@ -16,11 +16,11 @@ from wdmqkd import (
     MeasurementSetting,
     ProductState,
     chsh_optimize,
-    chsh_value,
     coincidence_probabilities,
     correlation_E,
     estimate_f,
     find_theta_max,
+    joint_outcome_distribution,
     scan_coefficients,
     shift_table,
     signed_angle_difference,
@@ -33,6 +33,17 @@ GRID = np.arange(0.0, 180.0, 0.01)
 def grid_theta_max(state, theta_s):
     rates = coincidence_probabilities(state, theta_s, GRID)
     return GRID[int(np.argmax(rates))], rates.max(), rates.min()
+
+
+def born_chsh(state, settings):
+    """S at the given settings, each E = p_tt + p_rr - p_tr - p_rt from the Born-rule outcome probabilities."""
+
+    def e(theta_s, theta_i):
+        tt, tr, rt, rr = joint_outcome_distribution(state, MeasurementSetting(theta_s, theta_i))
+        return tt + rr - tr - rt
+
+    a, a_prime, b, b_prime = settings.a, settings.a_prime, settings.b, settings.b_prime
+    return e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime)
 
 
 def separable_chsh_max(e):
@@ -185,16 +196,16 @@ def test_maximizer_label_swap_symmetry():
 def test_chsh_value_frozen_examples():
     bell = BiphotonPureState(1.0, 0.0)
     settings = ChshSettings(a=0.0, a_prime=45.0, b=67.5, b_prime=22.5)
-    s = chsh_value(bell, settings)
+    s = born_chsh(bell, settings)
     assert s == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     degenerate = ChshSettings(a=0.0, a_prime=0.0, b=0.0, b_prime=0.0)
-    assert chsh_value(bell, degenerate) == pytest.approx(-2.0, abs=1e-12)
+    assert born_chsh(bell, degenerate) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_chsh_optimize_bell_state():
     settings, s = chsh_optimize(BiphotonPureState(1.0, 0.0))
     assert s == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
-    assert chsh_value(BiphotonPureState(1.0, 0.0), settings) == pytest.approx(s, abs=1e-9)
+    assert born_chsh(BiphotonPureState(1.0, 0.0), settings) == pytest.approx(s, abs=1e-9)
 
 
 def test_chsh_optimize_matches_two_singular_value_bound():
@@ -209,7 +220,7 @@ def test_chsh_optimize_matches_two_singular_value_bound():
         want = 2.0 * math.sqrt(1.0 + kappa * kappa)
         settings, s = chsh_optimize(state)
         assert s == pytest.approx(want, abs=1e-6)
-        assert chsh_value(state, settings) == pytest.approx(s, abs=1e-9)
+        assert born_chsh(state, settings) == pytest.approx(s, abs=1e-9)
 
 
 def _chsh_ceiling(f, alpha):
@@ -224,7 +235,7 @@ def test_chsh_optimize_near_vanishing_diagonal_correlation(f, alpha_deg):
     settings, s = chsh_optimize(state)
     assert s == pytest.approx(_chsh_ceiling(f, math.radians(alpha_deg)), abs=1e-12)
     assert s > 2.0 + 1e-5
-    assert chsh_value(state, settings) == pytest.approx(s, abs=1e-12)
+    assert born_chsh(state, settings) == pytest.approx(s, abs=1e-12)
 
 
 def test_chsh_optimize_closed_form_random_states():
@@ -235,7 +246,7 @@ def test_chsh_optimize_closed_form_random_states():
         state = BiphotonPureState(f, alpha)
         settings, s = chsh_optimize(state)
         assert s == pytest.approx(_chsh_ceiling(f, alpha), abs=1e-12)
-        assert chsh_value(state, settings) == pytest.approx(s, abs=1e-12)
+        assert born_chsh(state, settings) == pytest.approx(s, abs=1e-12)
 
 
 def test_chsh_optimize_correlation_calls(monkeypatch):
@@ -256,7 +267,7 @@ def test_chsh_never_exceeds_tsirelson():
     for _ in range(10000):
         state = BiphotonPureState(rng.uniform(0, 4), rng.uniform(0, 2 * np.pi))
         settings = ChshSettings(*rng.uniform(0, 180, size=4))
-        assert abs(chsh_value(state, settings)) <= 2.0 * math.sqrt(2.0) + 1e-9
+        assert abs(born_chsh(state, settings)) <= 2.0 * math.sqrt(2.0) + 1e-9
 
 
 def test_chsh_product_state_classical_bound():
@@ -279,9 +290,9 @@ def test_separable_chsh_max_equals_brute_force():
 
 
 def test_correlation_product_form_consistency():
-    # chsh_value contracts the tensor T; correlation_E reaches each E through
-    # the four-outcome distribution instead.  Spot-check the sign pattern,
-    # then random states and angles.
+    # born_chsh reaches each E through the four-outcome distribution;
+    # correlation_E contracts the tensor T instead.  Spot-check the sign
+    # pattern, then random states and angles.
     state = BiphotonPureState(1.0, 0.0)
     settings = ChshSettings(a=10.0, a_prime=55.0, b=77.5, b_prime=32.5)
     manual = (
@@ -290,20 +301,14 @@ def test_correlation_product_form_consistency():
         + correlation_E(state, MeasurementSetting(55.0, 77.5))
         + correlation_E(state, MeasurementSetting(55.0, 32.5))
     )
-    assert chsh_value(state, settings) == pytest.approx(manual, abs=1e-12)
+    assert born_chsh(state, settings) == pytest.approx(manual, abs=1e-12)
     rng = np.random.default_rng(30)
     for _ in range(200):
         state = BiphotonPureState(rng.uniform(0, 4), rng.uniform(0, 2 * np.pi))
         a, a_prime, b, b_prime = rng.uniform(-360.0, 360.0, size=4)
         e = lambda s, i: correlation_E(state, MeasurementSetting(s, i))
         want = e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime)
-        assert chsh_value(state, ChshSettings(a, a_prime, b, b_prime)) == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_chsh_value_rejects_non_finite_angle(bad):
-    with pytest.raises(ValueError, match="must be finite"):
-        chsh_value(ProductState(), ChshSettings(0.0, 45.0, bad, 67.5))
+        assert born_chsh(state, ChshSettings(a, a_prime, b, b_prime)) == pytest.approx(want, abs=1e-12)
 
 
 def test_estimate_f_ratio_conventions():

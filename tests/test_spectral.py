@@ -11,7 +11,6 @@ from wdmqkd import (
     SpectralProfile,
     TabulatedSpectrum,
     build_channels,
-    build_channels_from_table,
     channel_state,
     default_profiles,
     estimate_f,
@@ -89,7 +88,7 @@ def test_profile_rejects_non_finite_field(field, value):
 
 def test_build_channels_default_grid():
     hv, vh = default_profiles()
-    channels = build_channels(hv, vh, alpha=0.0)
+    channels = build_channels(hv.rate, vh.rate, alpha=0.0)
     assert len(channels) == 8
     lams = [c.lambda_signal for c in channels]
     assert lams[0] == pytest.approx(860.0)
@@ -103,7 +102,7 @@ def test_build_channels_default_grid():
 
 def test_build_channels_single_point_grid():
     hv, vh = default_profiles()
-    channels = build_channels(hv, vh, alpha=0.0, lambda_range=(866.0, 866.0), n_channels=1)
+    channels = build_channels(hv.rate, vh.rate, alpha=0.0, lambda_range=(866.0, 866.0), n_channels=1)
     assert len(channels) == 1
     assert channels[0].lambda_signal == pytest.approx(866.0)
 
@@ -112,7 +111,7 @@ def test_channel_state_conventions():
     # at 866 nm the HV band is 3x the VH band; the two conventions are the
     # two labelings of that ratio
     hv, vh = default_profiles()
-    (ch,) = build_channels(hv, vh, alpha=0.0, lambda_range=(866.0, 866.0), n_channels=1)
+    (ch,) = build_channels(hv.rate, vh.rate, alpha=0.0, lambda_range=(866.0, 866.0), n_channels=1)
     state_f = channel_state(ch, convention="ratio_as_f")
     state_inv = channel_state(ch, convention="ratio_as_inverse_f")
     assert state_f.f == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-9)
@@ -123,14 +122,14 @@ def test_channel_state_conventions():
 
 def test_channel_state_balanced_point():
     hv, vh = default_profiles()
-    (ch,) = build_channels(hv, vh, alpha=0.0, lambda_range=(870.0, 870.0), n_channels=1)
+    (ch,) = build_channels(hv.rate, vh.rate, alpha=0.0, lambda_range=(870.0, 870.0), n_channels=1)
     assert channel_state(ch).f == pytest.approx(1.0, rel=1e-9)
 
 
 def test_channel_state_matches_estimate_f():
     hv, vh = default_profiles()
     for lam in (862.0, 866.0, 870.0, 873.0):
-        (ch,) = build_channels(hv, vh, alpha=0.0, lambda_range=(lam, lam), n_channels=1)
+        (ch,) = build_channels(hv.rate, vh.rate, alpha=0.0, lambda_range=(lam, lam), n_channels=1)
         f_hat, f_hat_inverse = estimate_f(ch.rate_HV, ch.rate_VH)
         # both evaluate sqrt(rate_VH / rate_HV), with the columns swapped for the inverse reading
         assert channel_state(ch, convention="ratio_as_f").f == f_hat
@@ -139,7 +138,7 @@ def test_channel_state_matches_estimate_f():
 
 def test_dark_channel_has_no_state():
     hv, vh = default_profiles()
-    (ch,) = build_channels(hv, vh, alpha=0.0, lambda_range=(1100.0, 1100.0), n_channels=1)
+    (ch,) = build_channels(hv.rate, vh.rate, alpha=0.0, lambda_range=(1100.0, 1100.0), n_channels=1)
     assert ch.rate_HV == ch.rate_VH == 0.0
     with pytest.raises(ValueError, match="1100.0 nm"):
         channel_state(ch)
@@ -216,8 +215,8 @@ def test_build_channels_from_table(tmp_path):
     path = tmp_path / "tbl.csv"
     path.write_text("lambda_nm,rate_hv,rate_vh\n860.0,300.0,100.0\n874.0,300.0,100.0\n")
     spec = TabulatedSpectrum.from_csv(path)
-    channels = build_channels_from_table(
-        spec, alpha=0.5, lambda_range=(860.0, 874.0), n_channels=8
+    channels = build_channels(
+        spec.rate_hv, spec.rate_vh, alpha=0.5, lambda_range=(860.0, 874.0), n_channels=8
     )
     assert len(channels) == 8
     for ch in channels:
@@ -227,13 +226,13 @@ def test_build_channels_from_table(tmp_path):
 
 
 def test_grid_builders_match_row_by_row_evaluation():
-    # the builders evaluate the grid in one array pass; each row must equal the scalar calls
+    # build_channels evaluates profile or table rates in one array pass; each row must equal the scalar calls
     lams = np.linspace(850.0, 890.0, 1000).tolist()
     hv, vh = default_profiles()
     table = TabulatedSpectrum([850.0, 866.0, 874.0, 890.0], [20.0, 300.0, 100.0, 5.0], [10.0, 100.0, 300.0, 40.0])
     cases = [
-        (build_channels(hv, vh, lambda_range=(850.0, 890.0), n_channels=1000), hv.rate, vh.rate),
-        (build_channels_from_table(table, lambda_range=(850.0, 890.0), n_channels=1000), table.rate_hv, table.rate_vh),
+        (build_channels(hv.rate, vh.rate, lambda_range=(850.0, 890.0), n_channels=1000), hv.rate, vh.rate),
+        (build_channels(table.rate_hv, table.rate_vh, lambda_range=(850.0, 890.0), n_channels=1000), table.rate_hv, table.rate_vh),
     ]
     for channels, rate_hv, rate_vh in cases:
         assert [ch.lambda_signal for ch in channels] == lams
@@ -257,8 +256,9 @@ def test_channel_count_cap_rejected_before_building():
     # one past the cap: the check runs before the grid is allocated
     too_many = MAX_CHANNELS + 1
     hv, vh = default_profiles()
-    with pytest.raises(ValueError, match=f"n_channels must be <= {MAX_CHANNELS}"):
-        build_channels(hv, vh, n_channels=too_many)
+    message = rf"n_channels must be an integer in \[1, {MAX_CHANNELS}\], got {too_many}"
+    with pytest.raises(ValueError, match=message):
+        build_channels(hv.rate, vh.rate, n_channels=too_many)
     table = TabulatedSpectrum([860.0, 874.0], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="n_channels"):
-        build_channels_from_table(table, n_channels=too_many)
+    with pytest.raises(ValueError, match=message):
+        build_channels(table.rate_hv, table.rate_vh, n_channels=too_many)
