@@ -146,13 +146,16 @@ def coincidence_probabilities(state: PairState, theta_s, theta_i) -> np.ndarray:
     theta_s and theta_i are polarizer angles in degrees, scalars or arrays
     that broadcast against each other by numpy's rules: a scalar theta_s and
     an array of idler angles give one scan.  The result has the broadcast
-    shape (a numpy float for two scalars) and values in [0, 1].  A NaN or
-    infinite angle raises ValueError.
+    shape (a numpy float for two scalars) and values in [0, 1]; each arm's
+    analyzer vectors are computed once, on its own angles.  A NaN or infinite
+    angle, or shapes that do not broadcast, raise ValueError.
     """
-    t = np.array(np.broadcast_arrays(theta_s, theta_i), dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("polarizer angles theta_s, theta_i must be finite")
-    n_s, n_i = analyzer_vectors(t).swapaxes(0, 1)
+    theta_s, theta_i = np.asarray(theta_s, dtype=float), np.asarray(theta_i, dtype=float)
+    np.broadcast_shapes(theta_s.shape, theta_i.shape)
+    for name, theta in (("theta_s", theta_s), ("theta_i", theta_i)):
+        if not np.isfinite(theta).all():
+            raise ValueError(f"polarizer angles {name} must be finite")
+    n_s, n_i = analyzer_vectors(theta_s), analyzer_vectors(theta_i)
     p = np.einsum("j...,jk,k...->...", n_s, plane_moments(state), n_i) / 4.0
     return np.minimum(np.maximum(p, 0.0), 1.0)
 

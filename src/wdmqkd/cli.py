@@ -16,8 +16,8 @@ with zero rate in both bands, of either source kind), and 1 for I/O failures.
 
 This module alone turns results into file text.  Every CSV is a header
 line, then one line per row of ``repr`` values joined by commas (a scan
-CSV starts with '# ' comment lines); every JSON file is indented with
-sorted keys.
+CSV starts with '# ' comment lines), written a column at a time; every
+JSON file is indented with sorted keys.
 """
 
 from __future__ import annotations
@@ -68,11 +68,20 @@ FIGURE_SETS = (
 REPORT_COLUMNS = ("lambda_nm", "sifted_bits", "qber_rect", "qber_diag", "secret_fraction", "secret_bits")
 
 
-def _write_csv(path: Path, header, rows, comments=()) -> None:
-    """'# ' comment lines, the header line, then each row's repr values joined by commas."""
-    lines = [*(f"# {line}" for line in comments), ",".join(header)]
-    lines += (",".join(map(repr, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _text(values) -> tuple[str, ...]:
+    """A CSV column's text: the repr of each value."""
+    return tuple(map(repr, values))
+
+
+_THEORY_GRID_TEXT, _SCAN_ANGLES_TEXT = _text(THEORY_GRID_DEG), _text(SCAN_ANGLES_DEG)
+
+
+def _write_csv(path: Path, header, columns, comments=()) -> None:
+    """'# ' comment lines, the header line, then each row of the text columns, one per header name, joined by commas."""
+    if len(columns) != len(header):
+        raise ValueError(f"{path.name}: {len(columns)} columns under {len(header)} header names")
+    rows = map(",".join, zip(*columns, strict=True))
+    path.write_text("\n".join([*(f"# {line}" for line in comments), ",".join(header), *rows]) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -125,7 +134,7 @@ def cmd_theory_scan(
             )
     out = _out_dir(cfg)
     for label, rates in zip(labels, curves):
-        _write_csv(out / f"theory_scan_thetas_{label}.csv", ("theta_i_deg", "rate"), zip(THEORY_GRID_DEG, rates))
+        _write_csv(out / f"theory_scan_thetas_{label}.csv", ("theta_i_deg", "rate"), (_THEORY_GRID_TEXT, _text(rates)))
     rows = []
     for entry in shift_table(state, thetas, reference=0.0):
         rows.append(
@@ -172,7 +181,7 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
         _write_csv(
             out / f"scan_{stem}.csv",
             ("theta_deg", "counts"),
-            zip(scan.angles, scan.counts),
+            (_SCAN_ANGLES_TEXT, _text(scan.counts)),
             (f"fixed_arm={scan.theta_fixed_arm}", f"fixed_theta_deg={scan.theta_fixed!r}", f"seed={scan.config.seed}"),
         )
         if isinstance(fit, ValueError):
@@ -220,7 +229,7 @@ def cmd_spectrum(cfg: RunConfig) -> list[dict]:
                 "f_hat_inv": f_hat_inv,
             }
         )
-    _write_csv(_out_dir(cfg) / "spectrum.csv", rows[0], (row.values() for row in rows))
+    _write_csv(_out_dir(cfg) / "spectrum.csv", rows[0], [_text(c) for c in zip(*(row.values() for row in rows))])
     return rows
 
 
@@ -233,7 +242,7 @@ def cmd_qkd(cfg: RunConfig) -> dict:
     summary = wdm_aggregate(reports)
     out = _out_dir(cfg)
     table = [astuple(r) for r in summary.channels]
-    _write_csv(out / "key_reports.csv", REPORT_COLUMNS, table)
+    _write_csv(out / "key_reports.csv", REPORT_COLUMNS, [_text(c) for c in zip(*table)])
     # the JSON table writes a NaN QBER (no pair sifted in that basis) as null
     nulled = ([None if math.isnan(v) else v for v in row] for row in table)
     _write_json(out / "key_reports.json", [dict(zip(REPORT_COLUMNS, row, strict=True)) for row in nulled])

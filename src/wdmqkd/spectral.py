@@ -10,7 +10,7 @@ fixes the per-channel amplitude ratio of the two-photon state.
 All wavelengths are vacuum nanometers.  The idler and rate functions take
 a float or an array of signal wavelengths, so a channel grid is evaluated
 in one array pass; a float may come back as a numpy float64.  A non-finite
-wavelength, rate or phase raises ValueError naming it.
+wavelength, rate or phase raises ValueError naming it, as does a non-numeric wavelength.
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ _CENTER_SPLIT_NM = (
 
 
 def _finite(values, name: str) -> np.ndarray:
-    """values as an array; ValueError naming it if any value is not finite."""
+    """values as an array; ValueError naming it if any value is not a finite number."""
     array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # a bool, a string or an object
+        raise ValueError(f"{name} must be numeric, got {values!r}")
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
     return array
@@ -151,8 +153,8 @@ def idler_wavelength(lambda_signal, pump_nm: float = DEFAULT_PUMP_NM):
     Returns:
         lambda_idler = 1 / (1/pump_nm - 1/lambda_signal), nm, shaped as lambda_signal.
     """
-    if not 0.0 < pump_nm < math.inf:
-        raise ValueError(f"pump_nm must be finite and > 0, got {pump_nm}")
+    if not _finite(pump_nm, "pump_nm") > 0.0:
+        raise ValueError(f"pump_nm must be > 0, got {pump_nm}")
     lam = _finite(lambda_signal, "lambda_signal")
     if (lam <= pump_nm).any():
         raise ValueError(
@@ -193,9 +195,7 @@ def build_channels(
         n_channels: Number of channels, an integer in [1, MAX_CHANNELS].
         pump_nm: Pump wavelength for the idler pairing, nm.
     """
-    lo, hi = lambda_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"lambda_range must be finite, got ({lo}, {hi})")
+    lo, hi = _finite(lambda_range, "lambda_range").tolist()
     n_channels = checked_int(n_channels, "n_channels", 1, MAX_CHANNELS)
     if lo > hi:
         raise ValueError(f"invalid wavelength range ({lo}, {hi})")

@@ -19,6 +19,7 @@ from wdmqkd import (
     TabulatedSpectrum,
     angle_stream_key,
     build_channels,
+    coincidence_probabilities,
     default_profiles,
     derive_stream,
     estimate_f,
@@ -54,6 +55,8 @@ def test_package_reexports_every_public_name():
         (lambda: idler_wavelength(INF), "lambda_signal"),
         (lambda: idler_wavelength(900.0, NAN), "pump_nm"),
         (lambda: idler_wavelength(np.array([870.0, NAN])), "lambda_signal"),
+        (lambda: coincidence_probabilities(BiphotonPureState(), NAN, [0.0, 10.0]), "theta_s must be finite"),
+        (lambda: coincidence_probabilities(BiphotonPureState(), np.zeros((2, 1)), [0.0, INF]), "theta_i must be finite"),
         (lambda: default_profiles()[0].rate(NAN), "lambda_nm"),
         (lambda: default_profiles()[0].rate(INF), "lambda_nm"),
         (lambda: default_profiles()[1].rate(np.array([870.0, -INF])), "lambda_nm"),
@@ -108,6 +111,12 @@ def test_package_reexports_every_public_name():
         (lambda: DetectionConfig(seed=True), "seed must be a non-negative integer, got True"),
         (lambda: ProtocolConfig(n_pairs=True), "n_pairs must be an integer in .*, got True"),
         (lambda: ScanData("signal", 0.0, (0.0, 10.0), (1, True)), "counts must be a non-negative integer, got True"),
+        # a wavelength given in code must be a number: a bool pump is no 1 nm pump, and a string is rejected by name
+        (lambda: idler_wavelength(870.0, pump_nm=True), "pump_nm must be numeric, got True"),
+        (lambda: build_channels(*RATES, pump_nm=True), "pump_nm must be numeric, got True"),
+        (lambda: idler_wavelength(870.0, pump_nm="400"), "pump_nm must be numeric, got '400'"),
+        (lambda: idler_wavelength("870"), "lambda_signal must be numeric, got '870'"),
+        (lambda: build_channels(*RATES, lambda_range=("860", 874.0)), "lambda_range must be numeric"),
     ],
 )
 def test_non_finite_input_raises_naming_it(call, name):

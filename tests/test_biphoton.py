@@ -229,6 +229,14 @@ def test_measurement_setting_normalizes():
         MeasurementSetting(math.nan, 0.0)
 
 
+def test_angle_shapes_that_do_not_broadcast_raise():
+    state = BiphotonPureState(1.0, 0.0)
+    with pytest.raises(ValueError, match="broadcast"):
+        coincidence_probabilities(state, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="broadcast"):
+        coincidence_probabilities(state, np.zeros((2, 1, 3)), np.zeros((4, 2)))
+
+
 def test_tiny_negative_angle_normalizes_to_zero():
     # fmod then + 180 rounds a tiny negative angle up to 180.0, outside [0, 180)
     assert normalize_angle_deg(-1e-17) == 0.0

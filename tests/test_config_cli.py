@@ -24,7 +24,7 @@ from wdmqkd import (
     source_channels,
 )
 from wdmqkd.biphoton import BiphotonPureState, ProductState
-from wdmqkd.cli import build_parser, main
+from wdmqkd.cli import _write_csv, build_parser, main
 from wdmqkd.config import source_state
 from wdmqkd.correlation import signed_angle_difference
 from wdmqkd.detection import MAX_MEAN, DetectionConfig
@@ -887,3 +887,14 @@ def test_cli_subprocess_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "theory_scan_summary.json").exists()
+
+
+def test_csv_writer_rejects_columns_that_do_not_fit_the_header(tmp_path):
+    path = tmp_path / "table.csv"
+    _write_csv(path, ("a", "b"), (("1", "2"), ("3.0", "4.0")), ("note",))
+    assert path.read_text() == "# note\na,b\n1,3.0\n2,4.0\n"
+    path.unlink()
+    for columns in ((("1", "2"),), (("1",), ("2",), ("3",)), (("1", "2"), ("3",))):
+        with pytest.raises(ValueError):
+            _write_csv(path, ("a", "b"), columns)
+        assert not path.exists()

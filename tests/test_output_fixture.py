@@ -18,6 +18,7 @@ A deliberate output change regenerates the fixture with
 and lists the changed files in CHANGES.md.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -190,5 +191,7 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
+    # no options: --help prints usage and any argument exits 2, both before the fixture is touched
+    argparse.ArgumentParser(description="Regenerate tests/fixtures/outputs.json from the current code.").parse_args()
     regenerate()
     print(f"wrote {FIXTURE}", file=sys.stderr)

@@ -26,7 +26,7 @@ from wdmqkd import (
     run_bbm92,
     scan_coefficients,
 )
-from wdmqkd.biphoton import MeasurementSetting, normalize_angle_deg
+from wdmqkd.biphoton import MeasurementSetting, analyzer_vectors, normalize_angle_deg, plane_moments
 from wdmqkd.cli import cmd_theory_scan
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
@@ -80,6 +80,45 @@ def test_probabilities_bounded_and_normalized_at_any_f(f, alpha, theta_s, theta_
     setting = MeasurementSetting(theta_s, theta_i)
     assert 0.0 <= coincidence_probability(state, setting) <= 1.0
     assert sum(joint_outcome_distribution(state, setting)) == pytest.approx(1.0, abs=1e-12)
+
+
+def broadcast_then_evaluate(state, theta_s, theta_i):
+    """The Born rule with the analyzer vectors evaluated on the broadcast angle grid: the reference."""
+    t = np.array(np.broadcast_arrays(theta_s, theta_i), dtype=float)
+    n_s, n_i = analyzer_vectors(t).swapaxes(0, 1)
+    p = np.einsum("j...,jk,k...->...", n_s, plane_moments(state), n_i) / 4.0
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+STATES = st.one_of(st.just(ProductState()), st.builds(BiphotonPureState, F_ANY, ALPHA_ANY))
+ANGLE_ARRAYS = st.lists(ANGLE_ANY, min_size=2, max_size=8).map(np.array)
+# angle layouts: a point, an idler scan, a grid of idler scans (theory-scan, simulate_scans), a grid
+# of signal scans (simulate_scans with the idler fixed), the (tt, tr, rt, rr) grid of outcome_probabilities
+# over two bases, and a signal scan against one idler angle, which no command passes
+LAYOUTS = {
+    "point": lambda ts, ti: (float(ts[0]), float(ti[0])),
+    "scan": lambda ts, ti: (float(ts[0]), ti),
+    "grid": lambda ts, ti: (ts[:, None], ti),
+    "idler fixed": lambda ts, ti: (ts[None, :], ti[:, None]),
+    "outcomes": lambda ts, ti: (ts[:2, None, None] + [0.0, 0.0, 90.0, 90.0], ti[:2, None] + [0.0, 90.0, 0.0, 90.0]),
+    "signal scan": lambda ts, ti: (ts, float(ti[0])),
+}
+
+
+@DETERMINISTIC
+@given(state=STATES, theta_s=ANGLE_ARRAYS, theta_i=ANGLE_ARRAYS, layout=st.sampled_from(list(LAYOUTS)))
+@example(
+    state=BiphotonPureState(1.73, 1.0), theta_s=np.array([1e300, -1e300]), theta_i=np.array([-1e-300, 1e300]), layout="grid"
+)
+def test_per_arm_analyzer_vectors_match_the_broadcast_grid(state, theta_s, theta_i, layout):
+    theta_s, theta_i = LAYOUTS[layout](theta_s, theta_i)
+    got, want = coincidence_probabilities(state, theta_s, theta_i), broadcast_then_evaluate(state, theta_s, theta_i)
+    assert type(got) is type(want) and got.shape == want.shape
+    if layout == "signal scan":
+        # einsum runs the sum for this layout in another order: the two roundings differ by an ulp or so
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 @DETERMINISTIC
