@@ -186,6 +186,8 @@ def rate_expanded(f: float, alpha: float, setting: MeasurementSetting) -> float:
     """
     if not math.isfinite(f) or f < 0.0:
         raise ValueError(f"amplitude ratio f must be finite and >= 0, got {f}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"phase alpha must be finite, got {alpha}")
     ts = math.radians(setting.theta_s)
     ti = math.radians(setting.theta_i)
     plus = math.sin(ts + ti)

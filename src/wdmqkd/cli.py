@@ -13,6 +13,7 @@ is byte-deterministic under a fixed seed.  Exit status is 0 on success
 (degenerate scans are flagged in the summaries, not errors), 2 for a
 configuration problem or any other rejected value (e.g. qkd on a channel
 with zero rate in both bands, of either source kind), and 1 for I/O failures.
+``simulate-fit`` draws and fits a run's scans as one counts array.
 
 This module alone turns results into file text.  Every CSV is a header
 line, then one line per row of ``repr`` values joined by commas (a scan
@@ -37,7 +38,7 @@ from .config import ConfigError, RunConfig, config_to_dict, load_config, source_
 from .correlation import shift_table
 from .detection import simulate_scans
 from .qkd import run_bbm92, wdm_aggregate
-from .scanfit import fit_scans, scan_metrics
+from .scanfit import fit_scans
 from .spectral import estimate_f
 
 __all__ = [
@@ -154,14 +155,14 @@ def cmd_theory_scan(
 def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
     """Simulate idler scans per channel and fixed signal angle, then fit them.
 
-    Each channel's scans are simulated in one call, and the whole run's
-    scans are fitted in one batched solve.  Writes one scan CSV and one fit
-    JSON per (channel, angle) and a summary with fitted peaks and
-    visibilities.  Failures (a fit that cannot run, a channel with no state:
+    Each lit channel's scans are simulated in one call, as rows of one counts
+    array, and the run's rows are fitted in one batched solve.  Writes one
+    scan CSV and one fit JSON per (channel, angle) and a summary with fitted
+    peaks and visibilities.  Failures (a fit that cannot run, a channel with no state:
     dark under either source kind, or an entangled one whose ratio is infinite
     under the configured convention) are recorded per row and do not abort the run.
     """
-    rows, scanned = [], []  # scanned: (file stem, scan, its summary row)
+    rows, scanned, blocks = [], [], []  # scanned: (file stem, fixed angle, its summary row)
     for k, channel in enumerate(source_channels(cfg.source)):
         head = {"channel": k, "lambda_signal_nm": channel.lambda_signal}
         try:
@@ -169,20 +170,19 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
         except ValueError as exc:
             rows.append({**head, "error": str(exc)})
             continue
-        scans = simulate_scans(
-            state, "signal", FIXED_SIGNAL_ANGLES_DEG, SCAN_ANGLES_DEG, cfg.detection, channel_id=k
-        )
-        for ts, scan in zip(FIXED_SIGNAL_ANGLES_DEG, scans):
+        blocks.append(simulate_scans(state, "signal", FIXED_SIGNAL_ANGLES_DEG, SCAN_ANGLES_DEG, cfg.detection, k))
+        for ts in FIXED_SIGNAL_ANGLES_DEG:
             rows.append({**head, "theta_s_deg": ts})
-            scanned.append((f"ch{k:02d}_thetas_{_angle_label(ts)}", scan, rows[-1]))
-    fits = fit_scans([scan for _, scan, _ in scanned])
+            scanned.append((f"ch{k:02d}_thetas_{_angle_label(ts)}", ts, rows[-1]))
+    counts = np.array(blocks, dtype=np.int64).reshape(-1, len(SCAN_ANGLES_DEG))
+    fits = fit_scans(SCAN_ANGLES_DEG, counts)
     out = _out_dir(cfg)
-    for (stem, scan, row), fit in zip(scanned, fits):
+    for (stem, ts, row), scan, fit in zip(scanned, counts.tolist(), fits):
         _write_csv(
             out / f"scan_{stem}.csv",
             ("theta_deg", "counts"),
-            (_SCAN_ANGLES_TEXT, _text(scan.counts)),
-            (f"fixed_arm={scan.theta_fixed_arm}", f"fixed_theta_deg={scan.theta_fixed!r}", f"seed={scan.config.seed}"),
+            (_SCAN_ANGLES_TEXT, _text(scan)),
+            ("fixed_arm=signal", f"fixed_theta_deg={ts!r}", f"seed={cfg.detection.seed}"),
         )
         if isinstance(fit, ValueError):
             row["error"] = str(fit)
@@ -197,14 +197,11 @@ def cmd_simulate_and_fit(cfg: RunConfig) -> dict:
             "chi2_reduced": fit.chi2_reduced,
         }
         _write_json(out / f"fit_{stem}.json", fitted)
-        metrics = scan_metrics(fit)
-        row.update(
-            {
-                "theta_max_deg": metrics.theta_max,
-                "theta_max_err_deg": metrics.theta_max_err,
-                "visibility": metrics.visibility,
-                "visibility_err": metrics.visibility_err,
-            }
+        row.update(  # scan_metrics' fields, read from the fit: the cosine peak sits at theta0
+            theta_max_deg=fit.theta0,
+            theta_max_err_deg=fit.theta0_err,
+            visibility=fit.v,
+            visibility_err=fit.v_err,
         )
     summary = {"rows": rows}
     _write_json(out / "simulate_fit_summary.json", summary)

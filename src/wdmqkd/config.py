@@ -15,11 +15,12 @@ the state a channel emits.
 
 Each section but fit is one key table, file key -> (attribute, type), read
 by ``_section``: unknown keys are rejected, each value is read typed and
-finite-checked, and a missing key keeps the attribute of the section's
-default object, whose class then checks the ranges, so a section built in
-code is checked as a loaded one is.  The reader's own faults name the dotted
-key; the class's errors get the prefix ``section '<path>': `` unless they
-are ConfigErrors, which name their key (every SourceConfig error).  The echo
+finite-checked (the source's by SourceConfig, which checks each once), and a
+missing key keeps the attribute of the section's default object, whose
+class then checks the ranges, so a section built in code is checked as a
+loaded one is.  The reader's own faults name the dotted key; the class's
+errors get the prefix ``section '<path>': `` unless they are ConfigErrors,
+which name their key (every SourceConfig error).  The echo
 (``config_to_dict``, written next to every command's outputs) is built from
 the same tables, and loading it reproduces the RunConfig exactly.
 """
@@ -98,7 +99,7 @@ class SourceConfig:
     spectrum_csv: str | None = None
 
     def __post_init__(self) -> None:
-        for key, attr, kind in _rows(_SOURCE_KEYS):  # the loader's type and finiteness checks
+        for key, attr, kind in _rows(_SOURCE_KEYS):  # the type and finiteness checks, of a loaded section too
             kind = SpectralProfile if isinstance(kind, dict) else kind
             object.__setattr__(self, attr, _get({key: getattr(self, attr)}, key, None, kind, "source."))
         for name, choices in (("kind", SOURCE_KINDS), ("f_convention", RATIO_CONVENTIONS)):
@@ -206,28 +207,28 @@ class RunConfig:
         return self.detection.seed
 
 
-def _read(section: dict, keys: dict, default, path: str) -> dict:
-    """Attribute -> value of every row; a missing key keeps default's value."""
+def _read(section: dict, keys: dict, default, path: str, get=_get) -> dict:
+    """Attribute -> value of every row, read by get; a missing key keeps default's value."""
     values = {}
     for key, attr, kind in _rows(keys):
         if isinstance(kind, dict):  # a nested section
             values[attr] = _section(section, key, kind, getattr(default, attr), path)
         elif attr is None:  # a retired key, only type-checked (kind() when missing)
-            _get(section, key, kind(), kind, path)
+            get(section, key, kind(), kind, path)
         else:
-            values[attr] = _get(section, key, getattr(default, attr), kind, path)
+            values[attr] = get(section, key, getattr(default, attr), kind, path)
     return values
 
 
-def _section(parent: dict, key: str, keys: dict, default, path: str = ""):
-    """default with the section parent[key] read over it; its class validates the values.
+def _section(parent: dict, key: str, keys: dict, default, path: str = "", get=_get):
+    """default with the section parent[key] read over it, each row by get; its class validates the values.
 
     A ValueError of the class that is not a ConfigError (which names its key)
     is prefixed with the section's name.
     """
     section, path = _get(parent, key, {}, dict, path), f"{path}{key}."
     _reject_unknown(section, keys, path)
-    values = _read(section, keys, default, path)
+    values = _read(section, keys, default, path, get)
     try:
         return replace(default, **values)
     except ConfigError:
@@ -253,7 +254,8 @@ def _build_run_config(raw: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
     out_dir = _get(raw, "out_dir", default.out_dir, str, "")
-    source = _section(raw, "source", _SOURCE_KEYS, default.source)
+    as_given = lambda section, key, value, *_: section.get(key, value)  # SourceConfig type-checks its own rows
+    source = _section(raw, "source", _SOURCE_KEYS, default.source, get=as_given)
     detection = _section(raw, "detection", _DETECTION_KEYS, DetectionConfig(seed=seed))
     _check_fit(_get(raw, "fit", {}, dict, ""))  # retired: checked in its place, never kept
     return RunConfig(out_dir, source, detection, _section(raw, "qkd", _QKD_KEYS, ProtocolConfig(seed=seed)))

@@ -11,9 +11,9 @@ fixed angle), in ascending order of the scanned angle: results never depend
 on evaluation order, permuting the scanned angle list simply permutes the
 counts, and the points at 0 and 180 deg are separate draws.
 
-``simulate_scans`` evaluates the probabilities of several scans of one arm
-in one call over the (fixed x scanned) angle grid; since each scan keeps its
-own stream, its counts equal those of a separate ``simulate_scan`` call.
+``simulate_scans`` evaluates several scans of one arm over one (fixed x
+scanned) grid and returns their counts as one int64 array; each scan keeps
+its own stream, so row j holds what ``simulate_scan`` draws at fixed angle j.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class DetectionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("pair_rate", "efficiency_signal", "efficiency_idler", "accidental_rate", "integration_time"):
+            _check_number(getattr(self, name), name)
         for name in ("pair_rate", "accidental_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate < math.inf:
@@ -106,6 +108,7 @@ class ScanData:
             raise ValueError(
                 f"theta_fixed_arm must be one of {SCAN_ARMS}, got {self.theta_fixed_arm!r}"
             )
+        _check_number(self.theta_fixed, "theta_fixed")
         if not math.isfinite(self.theta_fixed):
             raise ValueError(f"theta_fixed must be finite, got {self.theta_fixed}")
         angles = tuple(float(a) for a in self.angles)
@@ -115,6 +118,20 @@ class ScanData:
             raise ValueError("angles and counts differ in length")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "counts", tuple(checked_int(c, "counts") for c in self.counts))
+
+
+def _check_number(value, name: str) -> None:
+    """ValueError naming the value unless it is a real number; a bool is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be numeric, got {value!r}")
+
+
+def _angle_list(values, name: str) -> np.ndarray:
+    """values, any iterable of numbers, as a 1-d float array, else ValueError naming them."""
+    try:
+        return np.fromiter(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numeric angles in degrees, got {values!r}") from None
 
 
 def angle_stream_key(theta_deg: float) -> int:
@@ -165,7 +182,7 @@ def simulate_scans(
     angles,
     config: DetectionConfig,
     channel_id: int = 0,
-) -> tuple[ScanData, ...]:
+) -> np.ndarray:
     """Simulate one polarizer scan per fixed angle of one arm.
 
     Args:
@@ -180,24 +197,21 @@ def simulate_scans(
         channel_id: Spectral channel index mixed into the stream split.
 
     Returns:
-        One ScanData per fixed angle, in the given order, each with one
-        integer count per scanned angle.
+        The counts as an int64 array of shape (len(fixed_angles),
+        len(angles)): row j is the scan at fixed_angles[j].  A non-numeric
+        angle raises ValueError naming fixed_angles or angles.
     """
     if arm not in SCAN_ARMS:
         raise ValueError(f"fixed arm must be one of {SCAN_ARMS}, got {arm!r}")
-    fixed_angles = tuple(float(t) for t in fixed_angles)
-    angles = tuple(float(a) for a in angles)
-    fixed, scanned = np.array(fixed_angles)[:, None], np.array(angles)[None, :]
-    grid = (fixed, scanned) if arm == "signal" else (scanned, fixed)
+    fixed, scanned = _angle_list(fixed_angles, "fixed_angles"), _angle_list(angles, "angles")
+    grid = (fixed[:, None], scanned[None, :]) if arm == "signal" else (scanned[None, :], fixed[:, None])
     means = expected_mean(coincidence_probabilities(state, *grid), config)
-    order = np.argsort(angles, kind="stable")
-    unsort = np.argsort(order)
-    scans = []
-    for theta, row in zip(fixed_angles, means):
+    order = np.argsort(scanned, kind="stable")
+    counts = np.empty(means.shape, dtype=np.int64)
+    for row, theta, mean in zip(counts, fixed.tolist(), means):
         key = SCAN_ARMS.index(arm) * 180000 + angle_stream_key(theta)
-        counts = derive_stream(config.seed, channel_id, key).poisson(row[order])[unsort]
-        scans.append(ScanData(arm, theta, angles, tuple(counts.tolist()), config))
-    return tuple(scans)
+        row[order] = derive_stream(config.seed, channel_id, key).poisson(mean[order])
+    return counts
 
 
 def simulate_scan(
@@ -208,5 +222,9 @@ def simulate_scan(
     channel_id: int = 0,
 ) -> ScanData:
     """Simulate one polarizer scan; fixed is (arm, angle_deg).  See simulate_scans."""
-    return simulate_scans(state, fixed[0], (fixed[1],), angles, config, channel_id)[0]
-
+    try:
+        arm, theta = fixed
+    except (TypeError, ValueError):
+        raise ValueError(f"fixed must be an (arm, angle_deg) pair, got {fixed!r}") from None
+    counts = simulate_scans(state, arm, (theta,), angles, config, channel_id)[0]
+    return ScanData(arm, float(theta), angles, tuple(counts.tolist()), config)

@@ -16,11 +16,11 @@ reports no convergence flag: input they cannot fit raises ValueError.
 The covariance of (A, B, C) is R^-1 R^-T, with R the triangular factor of
 the last weighted solve, carried to (c, v, theta0) by the map's Jacobian.
 
-Scans that share one angle list are fitted together (``fit_scans``): the
-design matrix and its rank are computed once, the weighted least-squares
-problems are solved by stacked QR decompositions, and the covariances come
-from their stacked R factors.  ``fit_sinusoid`` and ``fit_scan`` are one-row
-calls of the same code.
+``fit_scans(theta_deg, counts)`` fits every row of a counts array, such as
+the one ``simulate_scans`` returns, at one angle list: the design matrix and
+its rank are computed once, the weighted least-squares problems are solved
+by stacked QR decompositions, and the covariances come from their stacked R
+factors.  ``fit_sinusoid`` and ``fit_scan`` are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -119,12 +119,17 @@ def _shared_error(theta: np.ndarray, rows: np.ndarray) -> str | None:
     return None
 
 
-def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueError]:
-    """FitResult or ValueError for each row of counts rows[k] at the angles theta.
+def fit_scans(theta_deg, counts) -> list[FitResult | ValueError]:
+    """Fit the fringe model to each row of counts, one scan per row, at the angles theta_deg.
 
-    A row's ValueError is the first of fit_sinusoid's checks it fails; the
-    rows that pass are solved together.
+    counts is e.g. the array simulate_scans returns.  Returns one entry per
+    row, in order ([] for zero rows): its FitResult, or the ValueError that
+    fit_sinusoid raises for it, the first of its checks the row fails.  The
+    rows that pass are solved together, whatever the others fail.
     """
+    theta, rows = np.asarray(theta_deg, dtype=float), np.asarray(counts, dtype=float)
+    if len(rows) == 0:
+        return []
     results = [None] * len(rows)
 
     def fail(bad: np.ndarray, message: str) -> bool:
@@ -197,12 +202,6 @@ def _fit_rows(theta: np.ndarray, rows: np.ndarray) -> list[FitResult | ValueErro
     return results
 
 
-def _raise_or_return(result):
-    if isinstance(result, ValueError):
-        raise result
-    return result
-
-
 def fit_sinusoid(theta_deg, counts) -> FitResult:
     """Fit the fringe model to (angle, counts) data.
 
@@ -220,35 +219,15 @@ def fit_sinusoid(theta_deg, counts) -> FitResult:
             fewer than 3 distinct angles modulo the period (a rank-deficient
             solve), or a fitted baseline that rounds to zero.
     """
-    theta = np.asarray(theta_deg, dtype=float)
-    rows = np.asarray(counts, dtype=float)[None]
-    return _raise_or_return(_fit_rows(theta, rows)[0])
+    result = fit_scans(theta_deg, np.asarray(counts, dtype=float)[None])[0]
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def fit_scan(data: ScanData) -> FitResult:
     """Fit the fringe model to a simulated or parsed scan."""
-    return _raise_or_return(fit_scans([data])[0])
-
-
-def fit_scans(scans) -> list[FitResult | ValueError]:
-    """Fit the fringe model to scans that share one angle list, in one solve.
-
-    Returns:
-        One entry per scan, in order: its FitResult, or the ValueError that
-        fit_scan raises for it (a scan that cannot be fitted does not stop
-        the others).
-
-    Raises:
-        ValueError: For scans whose angle lists differ.
-    """
-    scans = list(scans)
-    if not scans:
-        return []
-    angles = scans[0].angles
-    if any(scan.angles != angles for scan in scans):
-        raise ValueError("fit_scans needs scans that share one angle list")
-    rows = np.array([scan.counts for scan in scans], dtype=float)
-    return _fit_rows(np.array(angles, dtype=float), rows)
+    return fit_sinusoid(data.angles, data.counts)
 
 
 def scan_metrics(fit: FitResult) -> ScanMetrics:

@@ -12,6 +12,7 @@ import wdmqkd
 from wdmqkd import (
     BiphotonPureState,
     DetectionConfig,
+    MeasurementSetting,
     ProtocolConfig,
     ScanData,
     SourceConfig,
@@ -25,9 +26,11 @@ from wdmqkd import (
     estimate_f,
     idler_wavelength,
     loads_config,
+    rate_expanded,
     run_bbm92,
     shift_table,
     signed_angle_difference,
+    simulate_scan,
     simulate_scans,
 )
 
@@ -117,6 +120,17 @@ def test_package_reexports_every_public_name():
         (lambda: idler_wavelength(870.0, pump_nm="400"), "pump_nm must be numeric, got '400'"),
         (lambda: idler_wavelength("870"), "lambda_signal must be numeric, got '870'"),
         (lambda: build_channels(*RATES, lambda_range=("860", 874.0)), "lambda_range must be numeric"),
+        # a detection input of the wrong type, a bool included, is named, not a TypeError or IndexError
+        (lambda: simulate_scan(BiphotonPureState(), ("signal",), (0.0, 10.0), DetectionConfig()), "fixed must be an"),
+        (lambda: ScanData("signal", "0", (0.0, 10.0), (1, 1)), "theta_fixed must be numeric, got '0'"),
+        (lambda: DetectionConfig(integration_time=True), "integration_time must be numeric, got True"),
+        (lambda: DetectionConfig(efficiency_signal=True), "efficiency_signal must be numeric, got True"),
+        (lambda: DetectionConfig(accidental_rate=False), "accidental_rate must be numeric, got False"),
+        (lambda: DetectionConfig(pair_rate="1"), "pair_rate must be numeric, got '1'"),
+        (lambda: simulate_scans(BiphotonPureState(), "signal", ("x",), (0.0, 10.0), DetectionConfig()), "^fixed_angles"),
+        (lambda: simulate_scans(BiphotonPureState(), "signal", 45.0, (0.0, 10.0), DetectionConfig()), "^fixed_angles"),
+        (lambda: simulate_scans(BiphotonPureState(), "signal", (45.0,), ("x", 10.0), DetectionConfig()), "^angles"),
+        (lambda: rate_expanded(1.0, NAN, MeasurementSetting(0.0, 0.0)), "phase alpha must be finite"),
     ],
 )
 def test_non_finite_input_raises_naming_it(call, name):

@@ -86,13 +86,19 @@ def test_simulate_scans_equal_per_scan_draws(state, arm, seed):
     config = DetectionConfig(seed=seed, accidental_rate=3.0)
     fixed = (0.0, 45.0, 90.0, 135.0, 180.0, -30.0)
     angles = (170.0, 0.0, 35.0, 90.0, 10.0, 180.0)  # unsorted on purpose
-    scans = simulate_scans(state, arm, fixed, angles, config, channel_id=5)
-    assert [(s.theta_fixed_arm, s.theta_fixed, s.angles) for s in scans] == [
-        (arm, theta, angles) for theta in fixed
-    ]
-    for theta, scan in zip(fixed, scans):
-        assert scan.counts == _per_scan_counts(state, arm, theta, angles, config, 5)
-        assert scan == simulate_scan(state, (arm, theta), angles, config, channel_id=5)
+    counts = simulate_scans(state, arm, fixed, angles, config, channel_id=5)
+    assert counts.dtype == np.int64 and counts.shape == (len(fixed), len(angles))
+    for theta, row in zip(fixed, counts.tolist()):
+        assert tuple(row) == _per_scan_counts(state, arm, theta, angles, config, 5)
+        # row j is the scan simulate_scan draws at fixed angle j
+        assert simulate_scan(state, (arm, theta), angles, config, channel_id=5) == ScanData(
+            arm, theta, angles, tuple(row), config
+        )
+
+
+def test_simulate_scans_zero_fixed_angles_give_zero_rows():
+    counts = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (), ANGLES, DetectionConfig())
+    assert counts.dtype == np.int64 and counts.shape == (0, len(ANGLES))
 
 
 def test_simulate_scans_one_probability_call(monkeypatch):
@@ -101,8 +107,8 @@ def test_simulate_scans_one_probability_call(monkeypatch):
     monkeypatch.setattr(
         detection, "coincidence_probabilities", lambda *a: calls.append(a) or probabilities(*a)
     )
-    scans = simulate_scans(BiphotonPureState(1.0, 0.0), "idler", (0.0, 45.0, 90.0), ANGLES, DetectionConfig())
-    assert len(scans) == 3 and len(calls) == 1
+    counts = simulate_scans(BiphotonPureState(1.0, 0.0), "idler", (0.0, 45.0, 90.0), ANGLES, DetectionConfig())
+    assert counts.shape == (3, len(ANGLES)) and len(calls) == 1
     with pytest.raises(ValueError, match="fixed arm"):
         simulate_scans(BiphotonPureState(1.0, 0.0), "pump", (0.0,), ANGLES, DetectionConfig())
 

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import types
 import warnings
 
 import numpy as np
@@ -231,26 +230,25 @@ def _lstsq_fit(theta, y):
     return c, v, theta0, covariance, chi2_reduced
 
 
-def _monte_carlo_scans(n_seeds):
-    """Four signal-fixed scans per seed, each seed with its own state."""
+def _monte_carlo_counts(n_seeds):
+    """Four signal-fixed scans per seed, each seed with its own state: an (4 n_seeds, 19) counts array."""
     rng = np.random.default_rng(2024)
-    scans = []
+    blocks = []
     for seed in range(n_seeds):
         state = BiphotonPureState(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0 * np.pi))
         config = DetectionConfig(seed=seed, pair_rate=rng.uniform(200.0, 20000.0), accidental_rate=2.0)
-        scans += simulate_scans(state, "signal", (0.0, 45.0, 90.0, 135.0), ANGLES, config, channel_id=seed)
-    return scans
+        blocks.append(simulate_scans(state, "signal", (0.0, 45.0, 90.0, 135.0), ANGLES, config, channel_id=seed))
+    return np.concatenate(blocks)
 
 
-def _assert_fit_scans_match_lstsq(scans):
+def _assert_fit_scans_match_lstsq(counts):
     # tolerances: 1e-12 relative (covariance entries relative to their
     # correlation scale sqrt(cov_ii * cov_jj)), theta0 within 1e-9 deg
-    fits = fit_scans(scans)
-    assert len(fits) == len(scans)
-    for scan, fit in zip(scans, fits):
+    fits = fit_scans(ANGLES, counts)
+    assert len(fits) == len(counts)
+    for row, fit in zip(counts, fits):
         assert isinstance(fit, FitResult)
-        theta, y = np.asarray(scan.angles), np.asarray(scan.counts, dtype=float)
-        c, v, theta0, covariance, chi2 = _lstsq_fit(theta, y)
+        c, v, theta0, covariance, chi2 = _lstsq_fit(ANGLES, row.astype(float))
         assert fit.c == pytest.approx(c, rel=1e-12)
         assert fit.v == pytest.approx(v, rel=1e-12)
         assert fit.chi2_reduced == pytest.approx(chi2, rel=1e-12)
@@ -261,27 +259,44 @@ def _assert_fit_scans_match_lstsq(scans):
 
 
 def test_fit_scans_match_per_scan_lstsq():
-    _assert_fit_scans_match_lstsq(_monte_carlo_scans(80))  # 320 scans in one call
+    _assert_fit_scans_match_lstsq(_monte_carlo_counts(80))  # 320 scans in one call
+
+
+FIELDS = ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err")
+
+
+def test_fit_scans_rows_match_fit_sinusoid():
+    # The batch and a one-row fit agree to 1e-12 relative (theta0, an angle
+    # that can sit at 0, within 1e-9 deg), not bit for bit: the model product
+    # (rows x 3) @ (3 x 19) goes through BLAS gemm for a batch and gemv for
+    # one row, and the two round differently.
+    counts = _monte_carlo_counts(10)
+    for row, fit in zip(counts, fit_scans(ANGLES, counts)):
+        alone = fit_sinusoid(ANGLES, row)
+        assert fit.n_points == alone.n_points == ANGLES.size
+        assert abs(signed_angle_difference(fit.theta0, alone.theta0)) <= 1e-9
+        for name in ("c", "v", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+            assert getattr(fit, name) == pytest.approx(getattr(alone, name), rel=1e-12)
 
 
 def test_fit_scans_all_zero_row_fails_alone():
     state = BiphotonPureState(1.73, 0.0)
     good = simulate_scans(state, "signal", (0.0, 45.0), ANGLES, DetectionConfig(seed=3))
     empty = ScanData("signal", 90.0, tuple(ANGLES), (0,) * len(ANGLES))
-    fits = fit_scans([good[0], empty, good[1]])
+    fits = fit_scans(ANGLES, [good[0], empty.counts, good[1]])
     with pytest.raises(ValueError) as single:
         fit_scan(empty)
     assert isinstance(fits[1], ValueError)
     assert str(fits[1]) == str(single.value) == "counts are all zero: an empty scan has no fringe to fit"
-    for scan, fit in ((good[0], fits[0]), (good[1], fits[2])):
-        alone = fit_scan(scan)
-        for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+    for row, fit in ((good[0], fits[0]), (good[1], fits[2])):
+        alone = fit_sinusoid(ANGLES, row)
+        for name in FIELDS:
             assert getattr(fit, name) == pytest.approx(getattr(alone, name), rel=1e-12)
 
 
 def test_fit_scans_covariances_are_separate_arrays():
-    scans = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (0.0, 45.0, 90.0), ANGLES, DetectionConfig(seed=8))
-    fits = fit_scans(scans)
+    counts = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (0.0, 45.0, 90.0), ANGLES, DetectionConfig(seed=8))
+    fits = fit_scans(ANGLES, counts)
     for i, fit in enumerate(fits):
         assert fit.covariance.shape == (3, 3)
         assert fit.covariance.base is None
@@ -313,29 +328,31 @@ def test_fits_compare_and_hash_by_every_field():
 
 
 def test_fit_scans_input_checks():
-    scans = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig())
-    assert fit_scans([]) == []
-    other = simulate_scan(BiphotonPureState(1.0, 0.0), ("signal", 0.0), ANGLES[:-1], DetectionConfig())
-    with pytest.raises(ValueError, match="share one angle list"):
-        fit_scans([scans[0], other])
+    # zero rows, e.g. a simulate-fit run whose every channel is dark, give no fits
+    assert fit_scans(ANGLES, np.empty((0, ANGLES.size), dtype=np.int64)) == []
+    assert fit_scans(ANGLES, []) == []
+    # rows whose length is not that of the angle list fail row by row, as fit_sinusoid does
+    counts = simulate_scans(BiphotonPureState(1.0, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig())
+    fits = fit_scans(ANGLES[:-1], counts)
+    assert [str(fit) for fit in fits] == ["theta_deg and counts must be 1-d arrays of equal length"] * 2
 
 
 def test_subnormal_counts_get_inf_error_bars_alone():
     # 1/c overflows at subnormal counts, so v and theta0 cannot be identified
-    tiny = types.SimpleNamespace(angles=tuple(ANGLES), counts=(1e-320,) * ANGLES.size)
+    tiny = (1e-320,) * ANGLES.size
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = fit_sinusoid(ANGLES, tiny.counts)
+        fit = fit_sinusoid(ANGLES, tiny)
         good = simulate_scans(BiphotonPureState(1.73, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig(seed=3))
-        fits = fit_scans([good[0], tiny, good[1]])
+        fits = fit_scans(ANGLES, [good[0], tiny, good[1]])
     assert fit.v == 0.0
     assert math.isinf(fit.v_err) and math.isinf(fit.theta0_err)
     assert math.isfinite(fit.c_err)  # the baseline is still the weighted mean
     assert not np.isnan(fit.covariance).any()
     np.testing.assert_array_equal(fits[1].covariance, fit.covariance)
-    for scan, batched in ((good[0], fits[0]), (good[1], fits[2])):
-        alone = fit_scan(scan)
-        for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+    for row, batched in ((good[0], fits[0]), (good[1], fits[2])):
+        alone = fit_sinusoid(ANGLES, row)
+        for name in FIELDS:
             assert getattr(batched, name) == pytest.approx(getattr(alone, name), rel=1e-12)
 
 
@@ -358,14 +375,14 @@ def test_zero_baseline_rejected(theta, counts):
 
 def test_fit_scans_zero_baseline_row_fails_alone():
     good = simulate_scans(BiphotonPureState(1.73, 0.0), "signal", (0.0, 45.0), ANGLES, DetectionConfig(seed=3))
-    dust = types.SimpleNamespace(angles=tuple(ANGLES), counts=(5e-324,) + (0.0,) * (ANGLES.size - 1))
+    dust = (5e-324,) + (0.0,) * (ANGLES.size - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fits = fit_scans([good[0], dust, good[1]])
+        fits = fit_scans(ANGLES, [good[0], dust, good[1]])
     assert isinstance(fits[1], ValueError) and str(fits[1]) == ZERO_BASELINE
-    for scan, batched in ((good[0], fits[0]), (good[1], fits[2])):
-        alone = fit_scan(scan)
-        for name in ("c", "v", "theta0", "chi2_reduced", "c_err", "v_err", "theta0_err"):
+    for row, batched in ((good[0], fits[0]), (good[1], fits[2])):
+        alone = fit_sinusoid(ANGLES, row)
+        for name in FIELDS:
             assert getattr(batched, name) == pytest.approx(getattr(alone, name), rel=1e-12)
 
 
@@ -395,5 +412,5 @@ def test_visibility_pull_calibrated_at_full_visibility():
     # (v_hat - 1) / v_err must have an RMS of at most 1.2
     state = BiphotonPureState(1.0, 0.0)
     scans = [simulate_scan(state, ("signal", 45.0), ANGLES, DetectionConfig(seed=seed)) for seed in range(400)]
-    pulls = np.array([(fit.v - 1.0) / fit.v_err for fit in fit_scans(scans)])
+    pulls = np.array([(fit.v - 1.0) / fit.v_err for fit in fit_scans(ANGLES, [scan.counts for scan in scans])])
     assert math.sqrt(np.mean(pulls**2)) <= 1.2
